@@ -20,7 +20,7 @@ from .features import Vocabulary
 from .preprocess import AsciiPolicy
 
 MAGIC = b"EMOV"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: random forests stored as packed node arrays
 _CHECKSUM_LEN = 32
 
 

@@ -6,17 +6,34 @@ soft votes downstream. Counts may be fractional (oversampled data), so every
 fit works on real-valued count sums.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .features import LabeledDataset, SparseCountVector
+from .features import CsrMatrix, LabeledDataset, SparseCountVector
 
 
-def _check_dimension(model_dim: int, x: SparseCountVector) -> None:
-    if x.dimension != model_dim:
-        raise ValueError(f"input dimension {x.dimension} != model dimension {model_dim}")
+def _batched(predict_proba):
+    """Check a batch's dimension; run a lone SparseCountVector as a batch of one."""
+
+    @functools.wraps(predict_proba)
+    def wrapper(model, X):
+        if isinstance(X, SparseCountVector):
+            return wrapper(model, CsrMatrix.from_rows([X], X.dimension))[0]
+        if X.dimension != model.dimension:
+            raise ValueError(f"input dimension {X.dimension} != model dimension {model.dimension}")
+        return predict_proba(model, X)
+
+    return wrapper
+
+
+def _linear_scores(bias: np.ndarray, weights: np.ndarray, X: CsrMatrix) -> np.ndarray:
+    """bias + X @ weights.T as (n, k), by np.add.at (reduceat mishandles empty rows)."""
+    scores = np.tile(bias, (len(X), 1))
+    np.add.at(scores, X.row_ids(), X.data[:, None] * weights.T[X.indices])
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +56,8 @@ class MnbModel:
     dimension: int
     num_classes: int
 
-    def predict_proba(self, x: SparseCountVector) -> np.ndarray:
-        return mnb_predict_proba(self, x)
+    def predict_proba(self, X: CsrMatrix) -> np.ndarray:
+        return mnb_predict_proba(self, X)
 
 
 def mnb_fit(dataset: LabeledDataset, cfg: MnbConfig = MnbConfig()) -> MnbModel:
@@ -65,14 +82,12 @@ def mnb_fit(dataset: LabeledDataset, cfg: MnbConfig = MnbConfig()) -> MnbModel:
     )
 
 
-def mnb_predict_proba(model: MnbModel, x: SparseCountVector) -> np.ndarray:
-    _check_dimension(model.dimension, x)
-    scores = model.log_priors.copy()
-    for idx, cnt in x.entries:
-        scores += cnt * model.log_likelihoods[:, idx]
-    scores -= scores.max()
+@_batched
+def mnb_predict_proba(model: MnbModel, X: CsrMatrix) -> np.ndarray:
+    scores = _linear_scores(model.log_priors, model.log_likelihoods, X)
+    scores -= scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +116,8 @@ class LrModel:
     dimension: int
     num_classes: int
 
-    def predict_proba(self, x: SparseCountVector) -> np.ndarray:
-        return lr_predict_proba(self, x)
+    def predict_proba(self, X: CsrMatrix) -> np.ndarray:
+        return lr_predict_proba(self, X)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -173,13 +188,10 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     return LrModel(weights=W, intercepts=b, dimension=dataset.dimension, num_classes=k)
 
 
-def lr_predict_proba(model: LrModel, x: SparseCountVector) -> np.ndarray:
-    _check_dimension(model.dimension, x)
-    z = model.intercepts.copy()
-    for idx, cnt in x.entries:
-        z += cnt * model.weights[:, idx]
-    s = _sigmoid(z)
-    return s / s.sum()
+@_batched
+def lr_predict_proba(model: LrModel, X: CsrMatrix) -> np.ndarray:
+    s = _sigmoid(_linear_scores(model.intercepts, model.weights, X))
+    return s / s.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +219,46 @@ class TreeNode:
     threshold: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    counts: np.ndarray | None = None  # leaf class-count distribution
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.counts is not None
+    counts: np.ndarray | None = None  # leaf class-count distribution; None at split nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RfModel:
-    trees: list[TreeNode]
+    """A forest packed into parallel node arrays, as in scikit-learn's `_tree`:
+
+    node i is a leaf with class counts counts[i] (zero at split nodes) when
+    feature[i] == -1, else x[feature[i]] <= threshold[i] leads to left[i] and
+    otherwise to right[i]; tree t starts at node roots[t]. The linked `trees`
+    it is built from are packed, not kept.
+    """
+
+    trees: InitVar[list[TreeNode]]
     dimension: int
     num_classes: int
 
-    def predict_proba(self, x: SparseCountVector) -> np.ndarray:
-        return rf_predict_proba(self, x)
+    def __post_init__(self, trees):
+        nodes, roots = [], []  # nodes: [feature, threshold, left, right, counts]
+        for tree in trees:
+            roots.append(len(nodes))
+            stack = [(tree, None, 0)]  # (node, its parent's row, 2 if left child else 3)
+            while stack:
+                node, parent, side = stack.pop()
+                if parent is not None:
+                    parent[side] = len(nodes)
+                if node.counts is not None:
+                    nodes.append([-1, node.threshold, -1, -1, node.counts])
+                else:
+                    nodes.append([node.feature, node.threshold, -1, -1, np.zeros(self.num_classes)])
+                    stack += [(node.right, nodes[-1], 3), (node.left, nodes[-1], 2)]
+        feature, threshold, left, right, counts = zip(*nodes)
+        index = lambda values: np.array(values, dtype=np.intp)
+        self.__dict__.update(  # the dataclass is frozen; set the arrays once, here
+            feature=index(feature), threshold=np.array(threshold, dtype=float), left=index(left),
+            right=index(right), counts=np.array(counts, dtype=float), roots=index(roots),
+        )
+
+    def predict_proba(self, X: CsrMatrix) -> np.ndarray:
+        return rf_predict_proba(self, X)
 
 
 def _gini_pair(left_counts: np.ndarray, right_counts: np.ndarray) -> np.ndarray:
@@ -301,16 +338,26 @@ def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     return RfModel(trees=trees, dimension=dataset.dimension, num_classes=dataset.num_classes)
 
 
-def _tree_proba(node: TreeNode, dense: np.ndarray) -> np.ndarray:
-    while not node.is_leaf:
-        node = node.left if dense[node.feature] <= node.threshold else node.right
-    return node.counts / node.counts.sum()
+@_batched
+def rf_predict_proba(model: RfModel, X: CsrMatrix) -> np.ndarray:
+    """Mean leaf distribution over the trees. All (row, tree) walks advance one
 
-
-def rf_predict_proba(model: RfModel, x: SparseCountVector) -> np.ndarray:
-    _check_dimension(model.dimension, x)
-    dense = x.to_dense()
-    acc = np.zeros(model.num_classes)
-    for tree in model.trees:
-        acc += _tree_proba(tree, dense)
-    return acc / len(model.trees)
+    level per step; x[row, f] is found among the sorted keys row * V + index.
+    """
+    n, T, V = len(X), len(model.roots), X.dimension
+    keys = np.append(X.row_ids() * V + X.indices, -1)  # -1 matches no lookup
+    data = np.append(X.data, 0.0)
+    node = np.tile(model.roots, n)  # walk r * T + t: row r, tree t
+    row = np.repeat(np.arange(n), T)
+    live = np.flatnonzero(model.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        key = row[live] * V + model.feature[at]
+        pos = np.searchsorted(keys[:-1], key)
+        x = np.where(keys[pos] == key, data[pos], 0.0)
+        at = np.where(x <= model.threshold[at], model.left[at], model.right[at])
+        node[live] = at
+        live = live[model.feature[at] >= 0]
+    counts = model.counts[node].reshape(n, T, model.num_classes)
+    leaf = counts / counts.sum(axis=2, keepdims=True)
+    return sum(leaf[:, t] for t in range(T)) / T  # summed tree by tree, in order

@@ -20,6 +20,7 @@ from .classifiers import LrConfig, MnbConfig, RfConfig
 from .corpus import (
     LabelMapping,
     RawCorpus,
+    _read_lines,
     class_distribution,
     load_corpus,
     load_mapping,
@@ -30,12 +31,14 @@ from .ensemble import (
     build_meta,
 )
 from .exceptions import ArchiveError, DataError
-from .features import FeatureConfig, text_to_vector, vectorize_corpus
+from .features import CsrMatrix, FeatureConfig, text_to_vector, vectorize_corpus
 from .metrics import confusion, evaluate, report_render
 from .preprocess import AsciiPolicy
 from .resample import SmoteConfig, plan_resample, smote
 
 SELECTORS = ("mnb", "lr", "rf", "ensemble1", "ensemble2", "meta")
+
+PREDICT_CHUNK = 256  # tweets per batch: amortizes numpy calls, keeps batch memory small
 
 
 class UsageError(Exception):
@@ -141,11 +144,17 @@ def _select(model, selector: str):
     return model.ensemble1.members[("mnb", "lr", "rf").index(selector)]
 
 
-def _predict_lines(ar: ModelArchive, texts, selector: str):
+def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
+    """(n, k) distributions for consecutive chunks of PREDICT_CHUNK texts."""
     predictor = _select(ar.model, selector)
-    vecs = (text_to_vector(t, ar.policy, ar.vocabulary) for t in texts)
-    for v in vecs:
-        yield predictor.predict_proba(v)
+    for start in range(0, len(texts), PREDICT_CHUNK):
+        chunk = texts[start : start + PREDICT_CHUNK]
+        rows = [text_to_vector(t, ar.policy, ar.vocabulary) for t in chunk]
+        yield predictor.predict_proba(CsrMatrix.from_rows(rows, ar.vocabulary.size))
+
+
+def _predict_labels(ar: ModelArchive, texts: list[str], selector: str) -> list[int]:
+    return [int(c) for probs in _predict_chunks(ar, texts, selector) for c in probs.argmax(axis=1)]
 
 
 def cmd_train(args) -> int:
@@ -200,9 +209,7 @@ def cmd_train(args) -> int:
     print(f"model written to {args.out}")
 
     if test_corpus is not None and len(test_corpus) > 0:
-        preds = [
-            int(np.argmax(p)) for p in _predict_lines(ar, test_corpus.texts, args.selector)
-        ]
+        preds = _predict_labels(ar, test_corpus.texts, args.selector)
         report = evaluate(confusion(test_corpus.labels, preds, corpus.num_classes))
         print(
             f"held-out ({args.selector}): macro-F1 {report.macro_f1:.4f}, "
@@ -213,13 +220,14 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     ar = archive_load(args.model)
-    texts = _read_text_lines(args.text)
+    texts = _read_lines(args.text)
     lines = []
-    for probs in _predict_lines(ar, texts, args.selector):
-        line = str(int(np.argmax(probs)))
-        if args.proba:
-            line += "\t" + " ".join(f"{p:.6f}" for p in probs)
-        lines.append(line)
+    for chunk in _predict_chunks(ar, texts, args.selector):
+        for probs in chunk:
+            line = str(int(np.argmax(probs)))
+            if args.proba:
+                line += "\t" + " ".join(f"{p:.6f}" for p in probs)
+            lines.append(line)
     out = "".join(line + "\n" for line in lines)
     if args.out:
         _write_atomic(args.out, out)
@@ -228,21 +236,11 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _read_text_lines(path) -> list[str]:
-    raw = Path(path).read_text(encoding="utf-8")
-    if not raw:
-        return []
-    lines = raw.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def cmd_evaluate(args) -> int:
     ar = archive_load(args.model)
     k = ar.model.ensemble1.members[0].num_classes
     gold_corpus = load_corpus(args.text, args.gold, k)
-    preds = [int(np.argmax(p)) for p in _predict_lines(ar, gold_corpus.texts, args.selector)]
+    preds = _predict_labels(ar, gold_corpus.texts, args.selector)
     report = evaluate(confusion(gold_corpus.labels, preds, k))
     mapping = load_mapping(args.mapping) if args.mapping else LabelMapping.identity(k)
     text, grid = report_render(report, mapping)

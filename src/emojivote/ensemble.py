@@ -19,7 +19,7 @@ from .classifiers import (
     mnb_fit,
     rf_fit,
 )
-from .features import LabeledDataset, SparseCountVector
+from .features import CsrMatrix, LabeledDataset
 from .resample import SmoteConfig, smote
 
 # Member order for base-ensemble weight triples.
@@ -53,11 +53,11 @@ class EnsembleSpec:
         if any(w <= 0 for w in self.weights):
             raise ValueError("ensemble weights must be positive")
 
-    def predict_proba(self, x: SparseCountVector) -> np.ndarray:
-        return vote_proba(self.weights, [m.predict_proba(x) for m in self.members])
+    def predict_proba(self, X: CsrMatrix) -> np.ndarray:
+        return vote_proba(self.weights, [m.predict_proba(X) for m in self.members])
 
-    def predict(self, x: SparseCountVector) -> int:
-        return int(np.argmax(self.predict_proba(x)))
+    def predict(self, X: CsrMatrix) -> np.ndarray:
+        return np.argmax(self.predict_proba(X), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,13 @@ class MetaSpec:
     ensemble2: EnsembleSpec  # trained on oversampled data
     weights: tuple[float, float]
 
-    def predict_proba(self, x: SparseCountVector) -> np.ndarray:
+    def predict_proba(self, X: CsrMatrix) -> np.ndarray:
         return vote_proba(
-            self.weights, [self.ensemble1.predict_proba(x), self.ensemble2.predict_proba(x)]
+            self.weights, [self.ensemble1.predict_proba(X), self.ensemble2.predict_proba(X)]
         )
 
-    def predict(self, x: SparseCountVector) -> int:
-        return int(np.argmax(self.predict_proba(x)))
+    def predict(self, X: CsrMatrix) -> np.ndarray:
+        return np.argmax(self.predict_proba(X), axis=-1)
 
 
 def build_base_ensemble(

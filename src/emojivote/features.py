@@ -64,6 +64,40 @@ class SparseCountVector:
 
 
 @dataclass(frozen=True)
+class CsrMatrix:
+    """A batch of sparse count rows in compressed sparse row form: row i holds
+
+    counts data[indptr[i]:indptr[i + 1]] at strictly increasing column
+    indices[indptr[i]:indptr[i + 1]]. A row may be empty (every gram OOV).
+    """
+
+    indptr: np.ndarray  # (n + 1,) intp, indptr[0] == 0
+    indices: np.ndarray  # (nnz,) intp
+    data: np.ndarray  # (nnz,) float
+    dimension: int
+
+    def __post_init__(self):
+        if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
+            raise ValueError("indptr must start at 0 and never decrease")
+        if not len(self.indices) == len(self.data) == self.indptr[-1]:
+            raise ValueError("indices and data must hold indptr[-1] entries")
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry, in entry order."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    @classmethod
+    def from_rows(cls, rows: list[SparseCountVector], dimension: int) -> "CsrMatrix":
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum([len(r.entries) for r in rows], out=indptr[1:])
+        pairs = np.array([e for r in rows for e in r.entries], dtype=float).reshape(-1, 2)
+        return cls(indptr, pairs[:, 0].astype(np.intp), pairs[:, 1], dimension)
+
+
+@dataclass(frozen=True)
 class LabeledDataset:
     rows: list[SparseCountVector]
     labels: list[int]

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from emojivote.archive import ModelArchive, archive_load, archive_save
 from emojivote.classifiers import LrConfig, RfConfig
+from emojivote.cli import main
 from emojivote.ensemble import build_meta
 from emojivote.exceptions import (
     ArchiveChecksumError,
@@ -85,6 +88,20 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(ArchiveVersionError):
             archive_load(path)
+
+    def test_version_1_rejected(self, trained_archive, tmp_path):
+        # Version 1 archives pickled linked trees; loading one must fail cleanly
+        # (exit 2 from the CLI), not later at predict time.
+        path = tmp_path / "m.bin"
+        archive_save(trained_archive, path)
+        body = bytearray(path.read_bytes()[:-32])
+        body[4] = 1  # with a valid checksum, only the version is wrong
+        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        with pytest.raises(ArchiveVersionError):
+            archive_load(path)
+        text = tmp_path / "t.txt"
+        text.write_text("w1 w2\n")
+        assert main(["predict", str(path), str(text)]) == 2
 
     def test_bad_magic(self, trained_archive, tmp_path):
         path = tmp_path / "m.bin"

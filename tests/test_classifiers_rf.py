@@ -45,7 +45,7 @@ class TestFit:
         d = make_consistent_dataset(seed=4)
         for seed in (0, 1):
             m = rf_fit(d, RfConfig(n_trees=3, seed=seed))
-            assert len(m.trees) == 3
+            assert len(m.roots) == 3
 
     def test_pure_training_set(self):
         d = dataset_from_dense(np.arange(12.0).reshape(6, 2), [1] * 6, 3)
@@ -60,16 +60,8 @@ class TestFit:
     def test_min_samples_leaf(self):
         d = make_consistent_dataset(seed=5)
         m = rf_fit(d, RfConfig(n_trees=2, min_samples_leaf=4, seed=0, bootstrap=False))
-
-        def check(node):
-            if node.is_leaf:
-                assert node.counts.sum() >= 4
-            else:
-                check(node.left)
-                check(node.right)
-
-        for t in m.trees:
-            check(t)
+        leaves = m.feature == -1
+        assert np.all(m.counts[leaves].sum(axis=1) >= 4)
 
 
 class TestPredict:

@@ -136,6 +136,27 @@ class TestPredict:
         ]
         assert cli_preds == lib_preds
 
+    def test_chunked_predict_matches_library(self, trained_model, toy_files, tmp_path):
+        # Two full 256-row chunks and a one-row remainder, with all-OOV lines.
+        ar = archive_load(trained_model)
+        texts = (toy_files / "t.txt").read_text().splitlines() + ["zzz qqq", ""]
+        texts = (texts * 6)[: 2 * 256 + 1]
+        src = tmp_path / "many.txt"
+        src.write_text("".join(t + "\n" for t in texts), encoding="utf-8")
+        out = tmp_path / "many.pred"
+        assert main(["predict", str(trained_model), str(src), "-o", str(out)]) == 0
+        lib_preds = [
+            str(ar.model.predict(text_to_vector(t, ar.policy, ar.vocabulary))) for t in texts
+        ]
+        assert out.read_text().splitlines() == lib_preds
+
+    def test_cr_inside_line_is_data_error(self, trained_model, tmp_path):
+        src = tmp_path / "cr.txt"
+        src.write_bytes(b"happy the\rsad a\njoy lol\n")
+        out = tmp_path / "out.txt"
+        assert main(["predict", str(trained_model), str(src), "-o", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_report_and_matrix(self, trained_model, toy_files, tmp_path):
