@@ -8,7 +8,7 @@ fit works on real-valued count sums.
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,12 @@ def _batched(predict_proba):
 
     @functools.wraps(predict_proba)
     def wrapper(model, X):
-        if isinstance(X, SparseCountVector):
-            return wrapper(model, CsrMatrix.from_rows([X], X.dimension))[0]
+        single = isinstance(X, SparseCountVector)
+        X = CsrMatrix.from_rows([X], X.dimension) if single else X
         if X.dimension != model.dimension:
             raise ValueError(f"input dimension {X.dimension} != model dimension {model.dimension}")
-        return predict_proba(model, X)
+        probs = predict_proba(model, X)
+        return probs[0] if single else probs
 
     return wrapper
 
@@ -213,129 +214,123 @@ class RfConfig:
             raise ValueError("min_samples_leaf must be >= 1")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    counts: np.ndarray | None = None  # leaf class-count distribution; None at split nodes
-
-
 @dataclass(frozen=True, eq=False)
 class RfModel:
     """A forest packed into parallel node arrays, as in scikit-learn's `_tree`:
 
     node i is a leaf with class counts counts[i] (zero at split nodes) when
     feature[i] == -1, else x[feature[i]] <= threshold[i] leads to left[i] and
-    otherwise to right[i]; tree t starts at node roots[t]. The linked `trees`
-    it is built from are packed, not kept.
+    otherwise to right[i]; tree t starts at node roots[t]. Nodes are numbered
+    in preorder. (eq=False: arrays do not compare with ==.)
     """
 
-    trees: InitVar[list[TreeNode]]
     dimension: int
     num_classes: int
-
-    def __post_init__(self, trees):
-        nodes, roots = [], []  # nodes: [feature, threshold, left, right, counts]
-        for tree in trees:
-            roots.append(len(nodes))
-            stack = [(tree, None, 0)]  # (node, its parent's row, 2 if left child else 3)
-            while stack:
-                node, parent, side = stack.pop()
-                if parent is not None:
-                    parent[side] = len(nodes)
-                if node.counts is not None:
-                    nodes.append([-1, node.threshold, -1, -1, node.counts])
-                else:
-                    nodes.append([node.feature, node.threshold, -1, -1, np.zeros(self.num_classes)])
-                    stack += [(node.right, nodes[-1], 3), (node.left, nodes[-1], 2)]
-        feature, threshold, left, right, counts = zip(*nodes)
-        index = lambda values: np.array(values, dtype=np.intp)
-        self.__dict__.update(  # the dataclass is frozen; set the arrays once, here
-            feature=index(feature), threshold=np.array(threshold, dtype=float), left=index(left),
-            right=index(right), counts=np.array(counts, dtype=float), roots=index(roots),
-        )
+    feature: np.ndarray  # (nodes,) intp
+    threshold: np.ndarray  # (nodes,) float
+    left: np.ndarray  # (nodes,) intp
+    right: np.ndarray  # (nodes,) intp
+    counts: np.ndarray  # (nodes, k) float
+    roots: np.ndarray  # (trees,) intp
 
     def predict_proba(self, X: CsrMatrix) -> np.ndarray:
         return rf_predict_proba(self, X)
 
 
-def _gini_pair(left_counts: np.ndarray, right_counts: np.ndarray) -> np.ndarray:
-    # Weighted Gini impurity of (left, right) splits; rows are candidate
-    # thresholds, columns classes.
-    nl = left_counts.sum(axis=1)
-    nr = right_counts.sum(axis=1)
-    gl = 1.0 - (left_counts**2).sum(axis=1) / nl**2
-    gr = 1.0 - (right_counts**2).sum(axis=1) / nr**2
-    return (nl * gl + nr * gr) / (nl + nr)
+def _best_split(X: CsrMatrix, y, rows, totals, candidates, slot, min_leaf):
+    """(feature, threshold, goes-left mask over rows) of least weighted Gini
 
-
-def _best_split_for_feature(col, onehot, min_leaf):
-    """(impurity, threshold) for the best midpoint split of one feature, or None."""
-    order = np.argsort(col, kind="stable")
-    sv = col[order]
-    cum = np.cumsum(onehot[order], axis=0)
-    n = len(sv)
-    # splittable boundaries: positions i where sv[i] < sv[i+1]
-    boundary = np.nonzero(sv[:-1] < sv[1:])[0]
+    impurity at the node holding samples `rows`, or None. Only the nonzeros
+    are read: counts are positive, so a candidate's samples sort into its
+    zero segment, whose class counts are the node's totals minus those of its
+    nonzeros, then one segment per distinct nonzero value. Every boundary is
+    scored at once; the first least one in (candidate, value) order wins.
+    """
+    m, k, F = len(rows), len(totals), len(candidates)
+    starts = X.indptr[rows]
+    lengths = X.indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(m), lengths)  # the node position of each gathered entry
+    pos = np.arange(len(owner)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    slot[candidates] = np.arange(F)
+    cand = slot[X.indices[pos]]
+    slot[candidates] = -1
+    keep = cand >= 0
+    # A zero-valued stand-in (owner m, of no class) heads each candidate's zero segment.
+    cand = np.concatenate([np.arange(F), cand[keep]])
+    value = np.concatenate([np.zeros(F), X.data[pos[keep]]])
+    owner = np.concatenate([np.full(F, m), owner[keep]])
+    order = np.lexsort((value, cand))
+    cand, value, owner = cand[order], value[order], owner[order]
+    new = np.ones(len(cand), dtype=bool)
+    new[1:] = (cand[1:] != cand[:-1]) | (value[1:] != value[:-1])
+    first = np.flatnonzero(new)  # each segment's first entry
+    seg = np.cumsum(new) - 1  # each entry's segment
+    label = np.append(y[rows], k)[owner]  # stand-ins count in column k, then dropped
+    counts = np.bincount(seg * (k + 1) + label, minlength=len(first) * (k + 1))
+    counts = counts.reshape(-1, k + 1)[:, :k]
+    heads = seg[owner == m]
+    counts[heads] = totals - np.add.reduceat(counts, heads)
+    # A candidate's segments hold all m samples, so candidate j's sums start at j * totals.
+    # An empty zero segment puts no sample on the left, so it is never a boundary.
+    left = np.cumsum(counts, axis=0) - cand[first, None] * totals
+    nl = left.sum(axis=1)
+    boundary = np.flatnonzero(
+        (np.diff(cand[first]) == 0) & (nl[:-1] >= min_leaf) & (m - nl[:-1] >= min_leaf)
+    )
     if boundary.size == 0:
         return None
-    sizes = boundary + 1
-    ok = (sizes >= min_leaf) & (n - sizes >= min_leaf)
-    boundary = boundary[ok]
-    if boundary.size == 0:
-        return None
-    left = cum[boundary]
-    right = cum[-1] - left
-    imp = _gini_pair(left, right)
-    best = int(np.argmin(imp))
-    i = boundary[best]
-    return float(imp[best]), (sv[i] + sv[i + 1]) / 2.0
-
-
-def _grow_tree(X, y, k, cfg, rng) -> TreeNode:
-    counts = np.bincount(y, minlength=k).astype(float)
-    n, V = X.shape
-    if np.count_nonzero(counts) <= 1 or n < 2 * cfg.min_samples_leaf:
-        return TreeNode(counts=counts)
-    max_feats = cfg.max_features if cfg.max_features is not None else math.ceil(math.sqrt(V))
-    max_feats = min(max(max_feats, 1), V)
-    candidates = rng.choice(V, size=max_feats, replace=False)
-    onehot = np.eye(k)[y]
-    best = None  # (impurity, feature, threshold)
-    for f in candidates:
-        found = _best_split_for_feature(X[:, f], onehot, cfg.min_samples_leaf)
-        if found is not None and (best is None or found[0] < best[0]):
-            best = (found[0], int(f), found[1])
-    if best is None:
-        return TreeNode(counts=counts)
-    _, f, thr = best
-    mask = X[:, f] <= thr
-    left = _grow_tree(X[mask], y[mask], k, cfg, rng)
-    right = _grow_tree(X[~mask], y[~mask], k, cfg, rng)
-    return TreeNode(feature=f, threshold=thr, left=left, right=right)
+    left, nl = left[boundary], nl[boundary]
+    right, nr = totals - left, m - nl
+    gini = lambda c, n: 1.0 - (c**2).sum(axis=1) / n**2
+    b = boundary[np.argmin((nl * gini(left, nl) + nr * gini(right, nr)) / (nl + nr))]
+    j, lo, hi = cand[first[b]], value[first[b]], value[first[b + 1]]
+    threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo  # may round up to hi if adjacent
+    x = np.zeros(m + 1)
+    x[owner[cand == j]] = value[cand == j]
+    return candidates[j], threshold, x[:m] <= threshold
 
 
 def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     """Grow n_trees CART trees on bootstrap resamples. Each tree's RNG stream
 
-    derives from (seed, tree index), so the result is seed-deterministic.
+    derives from (seed, tree index), so the result is seed-deterministic. A
+    tree grows from an explicit stack of nodes, each an array of sample rows
+    (bootstrap duplicates included), left child before right, so nodes are
+    numbered and the RNG is drawn in preorder.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a random forest on an empty dataset")
-    X, y = dataset.to_dense()
-    n = len(y)
-    trees = []
+    X = CsrMatrix.from_rows(dataset.rows, dataset.dimension)
+    y = np.asarray(dataset.labels, dtype=np.intp)
+    n, V, k = len(y), dataset.dimension, dataset.num_classes
+    max_feats = cfg.max_features if cfg.max_features is not None else math.ceil(math.sqrt(V))
+    max_feats = min(max(max_feats, 1), V)
+    slot = np.full(V, -1)  # a feature's place among the node's candidates, else -1
+    nodes, roots = [], []  # nodes: [feature, threshold, left, right, counts]
     for t in range(cfg.n_trees):
         rng = np.random.default_rng([cfg.seed, t])
-        if cfg.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            Xt, yt = X[sample], y[sample]
-        else:
-            Xt, yt = X, y
-        trees.append(_grow_tree(Xt, yt, dataset.num_classes, cfg, rng))
-    return RfModel(trees=trees, dimension=dataset.dimension, num_classes=dataset.num_classes)
+        roots.append(len(nodes))
+        sample = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        stack = [(sample, None, 0)]  # (rows, the parent's node, 2 if left child else 3)
+        while stack:
+            rows, parent, side = stack.pop()
+            if parent is not None:
+                parent[side] = len(nodes)
+            totals = np.bincount(y[rows], minlength=k)
+            split = None
+            if np.count_nonzero(totals) > 1 and len(rows) >= 2 * cfg.min_samples_leaf:
+                candidates = rng.choice(V, size=max_feats, replace=False)
+                split = _best_split(X, y, rows, totals, candidates, slot, cfg.min_samples_leaf)
+            if split is None:
+                nodes.append([-1, 0.0, -1, -1, totals.astype(float)])
+            else:
+                f, threshold, go_left = split
+                nodes.append([f, threshold, -1, -1, np.zeros(k)])
+                stack += [(rows[~go_left], nodes[-1], 3), (rows[go_left], nodes[-1], 2)]
+    feature, threshold, left, right, counts = zip(*nodes)
+    index = lambda values: np.array(values, dtype=np.intp)
+    threshold, counts = np.array(threshold, dtype=float), np.array(counts, dtype=float)
+    return RfModel(V, k, index(feature), threshold, index(left), index(right), counts, index(roots))
 
 
 @_batched

@@ -88,18 +88,21 @@ def _run_config(args) -> RunConfig:
         if args.meta_weights
         else LANGUAGE_META_WEIGHTS[args.lang]
     )
-    return RunConfig(
-        language=args.lang,
-        policy=AsciiPolicy(args.ascii_policy),
-        features=FeatureConfig(min_df=args.min_df),
-        mnb=MnbConfig(alpha=args.alpha),
-        lr=LrConfig(l2_strength=args.l2),
-        rf=RfConfig(n_trees=args.trees, seed=args.seed),
-        smote=SmoteConfig(k_neighbors=args.smote_k, seed=args.seed),
-        base_weights=base,
-        meta_weights=meta,
-        seed=args.seed,
-    )
+    try:
+        return RunConfig(
+            language=args.lang,
+            policy=AsciiPolicy(args.ascii_policy),
+            features=FeatureConfig(min_df=args.min_df),
+            mnb=MnbConfig(alpha=args.alpha),
+            lr=LrConfig(l2_strength=args.l2),
+            rf=RfConfig(n_trees=args.trees, seed=args.seed),
+            smote=SmoteConfig(k_neighbors=args.smote_k, seed=args.seed),
+            base_weights=base,
+            meta_weights=meta,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # a config rejected a flag's value
+        raise UsageError(str(exc))
 
 
 def _write_atomic(path, content: str) -> None:
@@ -159,6 +162,8 @@ def _predict_labels(ar: ModelArchive, texts: list[str], selector: str) -> list[i
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
+    if args.split is not None and not 0 < args.split < 1:
+        raise UsageError(f"--split must be between 0 and 1 (exclusive), got {args.split}")
     corpus = load_corpus(args.text, args.labels, args.classes)
     test_corpus = None
     if args.split:

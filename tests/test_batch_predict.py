@@ -13,7 +13,6 @@ from emojivote.classifiers import (
     MnbModel,
     RfConfig,
     RfModel,
-    TreeNode,
     _sigmoid,
     rf_predict_proba,
 )
@@ -30,6 +29,9 @@ from emojivote.features import (
 )
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
+
+from rf_oracle import TreeNode, pack
+
 
 @pytest.fixture(scope="module")
 def meta():
@@ -153,7 +155,7 @@ class TestDeepTree:
 
     def test_pack_predict_round_trip(self, tmp_path):
         tree = deep_chain(self.DEPTH)
-        rf = RfModel(trees=[tree], dimension=2, num_classes=2)
+        rf = pack([tree], dimension=2, num_classes=2)
         assert len(rf.feature) == 2 * self.DEPTH + 1
         values = [0.0, 3.0, 1999.0, 2500.0]
         rows = [SparseCountVector(((0, v),) if v else (), 2) for v in values]

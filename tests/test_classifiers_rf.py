@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emojivote.classifiers import RfConfig, RfModel, TreeNode, rf_fit, rf_predict_proba
-from emojivote.features import SparseCountVector
+from emojivote.archive import ModelArchive, archive_load, archive_save
+from emojivote.classifiers import RfConfig, rf_fit, rf_predict_proba
+from emojivote.ensemble import EnsembleSpec, MetaSpec
+from emojivote.features import (
+    CsrMatrix,
+    FeatureConfig,
+    LabeledDataset,
+    SparseCountVector,
+    Vocabulary,
+    vectorize_corpus,
+)
+from emojivote.preprocess import AsciiPolicy
+from emojivote.resample import SmoteConfig, smote
 
-from helpers import dataset_from_dense
+from helpers import dataset_from_dense, skewed_corpus
+from rf_oracle import TreeNode, oracle_fit, pack
+
+ARRAYS = ("feature", "threshold", "left", "right", "counts", "roots")
 
 
 def make_consistent_dataset(seed=0, n=40, V=6):
@@ -64,22 +80,34 @@ class TestFit:
         assert np.all(m.counts[leaves].sum(axis=1) >= 4)
 
 
+    def test_adjacent_values_split(self):
+        # The midpoint of two adjacent floats rounds up to the larger one, so
+        # the threshold falls back to the smaller value to keep both sides.
+        a, b = 1 + 2**-52, 1 + 2**-51
+        assert (a + b) / 2 == b
+        d = dataset_from_dense(np.array([[a], [b], [b]]), [0, 1, 1], 2)
+        m = rf_fit(d, RfConfig(n_trees=1, bootstrap=False))
+        assert m.threshold[0] == a and len(m.feature) == 3
+        probs = rf_predict_proba(m, CsrMatrix.from_rows(d.rows, 1))
+        assert probs.argmax(axis=1).tolist() == d.labels
+
+
 class TestPredict:
     def test_two_tree_average(self):
         leaf_a = TreeNode(counts=np.array([3.0, 0.0]))
         leaf_b = TreeNode(counts=np.array([0.0, 5.0]))
-        m = RfModel(trees=[leaf_a, leaf_b], dimension=2, num_classes=2)
+        m = pack([leaf_a, leaf_b], dimension=2, num_classes=2)
         probs = rf_predict_proba(m, SparseCountVector((), 2))
         assert probs == pytest.approx([0.5, 0.5])
 
     def test_single_tree_identity(self):
         leaf = TreeNode(counts=np.array([1.0, 3.0]))
-        m = RfModel(trees=[leaf], dimension=2, num_classes=2)
+        m = pack([leaf], dimension=2, num_classes=2)
         assert rf_predict_proba(m, SparseCountVector((), 2)) == pytest.approx([0.25, 0.75])
 
     def test_unanimous_pure_trees(self):
         trees = [TreeNode(counts=np.array([0.0, 0.0, 0.0, 2.0])) for _ in range(20)]
-        m = RfModel(trees=trees, dimension=1, num_classes=4)
+        m = pack(trees, dimension=1, num_classes=4)
         assert rf_predict_proba(m, SparseCountVector((), 1)) == pytest.approx([0, 0, 0, 1.0])
 
     def test_routing(self):
@@ -89,14 +117,14 @@ class TestPredict:
             left=TreeNode(counts=np.array([1.0, 0.0])),
             right=TreeNode(counts=np.array([0.0, 1.0])),
         )
-        m = RfModel(trees=[tree], dimension=1, num_classes=2)
+        m = pack([tree], dimension=1, num_classes=2)
         low = rf_predict_proba(m, SparseCountVector(((0, 1.0),), 1))
         high = rf_predict_proba(m, SparseCountVector(((0, 2.0),), 1))
         assert low == pytest.approx([1.0, 0.0])
         assert high == pytest.approx([0.0, 1.0])
 
     def test_dimension_mismatch(self):
-        m = RfModel(trees=[TreeNode(counts=np.array([1.0]))], dimension=2, num_classes=1)
+        m = pack([TreeNode(counts=np.array([1.0]))], dimension=2, num_classes=1)
         with pytest.raises(ValueError):
             rf_predict_proba(m, SparseCountVector((), 5))
 
@@ -109,3 +137,92 @@ class TestPredict:
             probs = rf_predict_proba(m, x)
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def assert_same_forest(model, reference):
+    assert (model.dimension, model.num_classes) == (reference.dimension, reference.num_classes)
+    for name in ARRAYS:
+        got, want = getattr(model, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@st.composite
+def forest_cases(draw):
+    """A small dataset (integer or SMOTE-like fractional counts, empty and
+
+    duplicate rows, maybe a declared class with no rows) and a forest config.
+    """
+    V = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        count = st.sampled_from([1.0, 2.0, 3.0])
+    else:
+        # Fractions i / 97 are never adjacent floats (see test_adjacent_values_split).
+        count = st.sampled_from([0.5, 1.0, 1.75]) | st.integers(1, 400).map(lambda i: i / 97)
+    base = draw(st.lists(st.dictionaries(st.integers(0, V - 1), count), min_size=1, max_size=25))
+    rows = base + [base[i] for i in draw(st.lists(st.integers(0, len(base) - 1), max_size=5))]
+    top = k - 1 - draw(st.booleans())  # maybe leave class k - 1 without rows
+    labels = draw(st.lists(st.integers(0, top), min_size=len(rows), max_size=len(rows)))
+    dataset = LabeledDataset(
+        rows=[SparseCountVector(tuple(sorted(r.items())), V) for r in rows],
+        labels=labels, num_classes=k, dimension=V,
+    )
+    cfg = RfConfig(
+        n_trees=draw(st.integers(1, 3)),
+        max_features=draw(st.sampled_from([None, 1, V])),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return dataset, cfg
+
+
+class TestOracle:
+    """rf_fit grows the same trees as the recursive dense grower it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=forest_cases())
+    def test_small_datasets(self, case):
+        dataset, cfg = case
+        assert_same_forest(rf_fit(dataset, cfg), oracle_fit(dataset, cfg))
+
+    @pytest.mark.parametrize("resampled", [False, True])
+    def test_skewed_corpus(self, resampled):
+        _, dataset = vectorize_corpus(
+            skewed_corpus(300, seed=11), AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=2)
+        )
+        if resampled:
+            dataset = smote(dataset, SmoteConfig(seed=0))
+        cfg = RfConfig(n_trees=5, seed=3)
+        assert_same_forest(rf_fit(dataset, cfg), oracle_fit(dataset, cfg))
+
+
+def tree_depth(model) -> int:
+    deepest, stack = 0, [(int(root), 0) for root in model.roots]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if model.feature[node] >= 0:
+            stack += [(model.left[node], depth + 1), (model.right[node], depth + 1)]
+    return deepest
+
+
+class TestDeepFit:
+    def test_chain_deeper_than_recursion_limit(self, tmp_path):
+        # Alternating labels over distinct values: every best split peels off
+        # one sample, so the tree is a chain about as deep as the data.
+        n = 1500
+        d = dataset_from_dense(np.arange(1.0, n + 1)[:, None], [i % 2 for i in range(n)], 2)
+        rf = rf_fit(d, RfConfig(n_trees=1, bootstrap=False))
+        assert tree_depth(rf) >= 1000
+        X = CsrMatrix.from_rows(d.rows, 1)
+        probs = rf_predict_proba(rf, X)
+        assert probs.argmax(axis=1).tolist() == d.labels
+
+        ensemble = EnsembleSpec(members=(rf,), weights=(1.0,))
+        vocab = Vocabulary(["a"], {"a": 0}, 1, 0)
+        meta = MetaSpec(ensemble, ensemble, (1.0, 1.0))
+        archive = ModelArchive("en", AsciiPolicy.KEEP_MOST, vocab, meta)
+        archive_save(archive, tmp_path / "deep.bin")
+        loaded = archive_load(tmp_path / "deep.bin").model.ensemble1.members[0]
+        assert np.array_equal(loaded.predict_proba(X), probs)

@@ -82,6 +82,35 @@ class TestTrain:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["train", "resample"])
+    @pytest.mark.parametrize(
+        "flag", [["--trees", "0"], ["--alpha", "0"], ["--l2", "-1"], ["--min-df", "0"],
+                 ["--smote-k", "0"]]
+    )
+    def test_invalid_model_flag_is_usage_error(self, toy_files, tmp_path, capsys, command, flag):
+        argv = [command, str(toy_files / "t.txt"), str(toy_files / "l.txt"), "-k", "3"] + flag
+        if command == "train":
+            argv += ["-o", str(tmp_path / "m.bin")]
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["-0.2", "0", "1.0", "1.5"])
+    def test_split_out_of_range_is_usage_error(self, toy_files, tmp_path, split):
+        rc = main(
+            ["train", str(toy_files / "t.txt"), str(toy_files / "l.txt"), "-k", "3",
+             "-o", str(tmp_path / "m.bin"), "--split", split] + TRAIN_FLAGS
+        )
+        assert rc == 1
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_split_holds_out_a_fraction(self, toy_files, tmp_path, capsys):
+        rc = main(
+            ["train", str(toy_files / "t.txt"), str(toy_files / "l.txt"), "-k", "3",
+             "-o", str(tmp_path / "m.bin"), "--split", "0.2"] + TRAIN_FLAGS
+        )
+        assert rc == 0
+        assert "split: 71 train / 19 held out" in capsys.readouterr().out
+
 
 class TestPredict:
     def test_meta_line_shape(self, trained_model, toy_files, tmp_path):
