@@ -68,12 +68,12 @@ def mnb_fit(dataset: LabeledDataset, cfg: MnbConfig = MnbConfig()) -> MnbModel:
     if dataset.dimension < 1:
         raise ValueError("naive Bayes needs at least one feature")
     k, V = dataset.num_classes, dataset.dimension
-    class_counts = np.zeros(k)
+    X = CsrMatrix.from_rows(dataset.rows, V)
+    y = np.asarray(dataset.labels, dtype=np.intp)
+    class_counts = np.bincount(y, minlength=k)
     feature_counts = np.zeros((k, V))
-    for row, lab in zip(dataset.rows, dataset.labels):
-        class_counts[lab] += 1
-        for idx, cnt in row.entries:
-            feature_counts[lab, idx] += cnt
+    # add.at adds in entry order, so every sum is the row-by-row loop's
+    np.add.at(feature_counts, (y[X.row_ids()], X.indices), X.data)
     with np.errstate(divide="ignore"):
         log_priors = np.log(class_counts / len(dataset))
     totals = feature_counts.sum(axis=1, keepdims=True)

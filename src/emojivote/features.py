@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class SparseCountVector:
         for idx, cnt in self.entries:
             if idx <= prev or idx >= self.dimension:
                 raise ValueError("entry indices must be strictly increasing and < dimension")
-            if cnt <= 0:
+            if not cnt > 0:
                 raise ValueError("entry counts must be positive")
             prev = idx
 
@@ -81,6 +82,12 @@ class CsrMatrix:
             raise ValueError("indptr must start at 0 and never decrease")
         if not len(self.indices) == len(self.data) == self.indptr[-1]:
             raise ValueError("indices and data must hold indptr[-1] entries")
+        # Each index must exceed its predecessor in the row, with -1 standing
+        # in before a row's first entry, and stay below the dimension.
+        previous = np.concatenate(([-1], self.indices))[:-1]
+        previous[self.indptr[:-1][np.diff(self.indptr) > 0]] = -1
+        if not np.all((previous < self.indices) & (self.indices < self.dimension)):
+            raise ValueError("indices must lie in [0, dimension) and strictly increase within a row")
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -89,12 +96,22 @@ class CsrMatrix:
         """The row of every stored entry, in entry order."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    def take(self, rows: np.ndarray) -> "CsrMatrix":
+        """The given rows in the given order; a row may be taken more than once."""
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
+        return CsrMatrix(indptr, self.indices[entries], self.data[entries], self.dimension)
+
     @classmethod
     def from_rows(cls, rows: list[SparseCountVector], dimension: int) -> "CsrMatrix":
         indptr = np.zeros(len(rows) + 1, dtype=np.intp)
         np.cumsum([len(r.entries) for r in rows], out=indptr[1:])
-        pairs = np.array([e for r in rows for e in r.entries], dtype=float).reshape(-1, 2)
-        return cls(indptr, pairs[:, 0].astype(np.intp), pairs[:, 1], dimension)
+        flat = chain.from_iterable(chain.from_iterable(r.entries for r in rows))
+        pairs = np.fromiter(flat, dtype=float, count=2 * indptr[-1])  # index, count, ...
+        return cls(indptr, pairs[0::2].astype(np.intp), pairs[1::2].copy(), dimension)
 
 
 @dataclass(frozen=True)

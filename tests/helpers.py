@@ -3,7 +3,7 @@
 import numpy as np
 
 from emojivote.corpus import RawCorpus
-from emojivote.features import LabeledDataset, SparseCountVector
+from emojivote.features import CsrMatrix, LabeledDataset, SparseCountVector
 
 SKEW_FRACTIONS = [0.6, 0.2, 0.1, 0.06, 0.04]
 ACCENTS = ["á", "é", "í"]
@@ -14,6 +14,11 @@ def dataset_from_dense(X, labels, num_classes) -> LabeledDataset:
     return LabeledDataset(
         rows=rows, labels=list(labels), num_classes=num_classes, dimension=X.shape[1]
     )
+
+
+def csr_from_dense(X) -> CsrMatrix:
+    X = np.asarray(X, dtype=float)
+    return CsrMatrix.from_rows([SparseCountVector.from_dense(r) for r in X], X.shape[1])
 
 
 def skewed_corpus(n: int, seed: int) -> RawCorpus:

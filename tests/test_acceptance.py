@@ -29,7 +29,7 @@ from emojivote.metrics import confusion, evaluate
 from emojivote.preprocess import AsciiPolicy, extract_ngrams, tokenize
 from emojivote.resample import ResamplePlan, SmoteConfig, nearest_neighbors, smote
 
-from helpers import accent_corpus, dataset_from_dense, skewed_corpus
+from helpers import accent_corpus, csr_from_dense, dataset_from_dense, skewed_corpus
 from test_classifiers_mnb import all_multisets, oracle_posterior
 from test_metrics import oracle_metrics
 
@@ -173,7 +173,7 @@ def test_smote_properties():
         n = int(rng.integers(2, 51))
         pts = rng.integers(0, 4, size=(n, 4)).astype(float)
         k = int(rng.integers(1, n))
-        got = nearest_neighbors(pts, k)
+        got = nearest_neighbors(csr_from_dense(pts), k)
         for i in range(n):
             want = sorted(
                 (float(((pts[j] - pts[i]) ** 2).sum()), j) for j in range(n) if j != i

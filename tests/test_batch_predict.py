@@ -130,6 +130,37 @@ class TestCsrMatrix:
         with pytest.raises(ValueError):
             CsrMatrix(np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 1.0]), 3)
 
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 1, 2], [0, 3]),  # == dimension, in the last row
+        ([0, 1, 2], [3, 0]),  # == dimension, before a row that starts at 0
+        ([0, 2, 2], [-1, 2]),
+    ])
+    def test_index_out_of_range_rejected(self, indptr, indices):
+        with pytest.raises(ValueError, match="dimension"):
+            CsrMatrix(np.array(indptr), np.array(indices), np.ones(2), 3)
+
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 2, 3], [2, 1, 0]),
+        ([0, 2, 3], [1, 1, 0]),  # a repeated index
+        ([0, 1, 3], [2, 1, 0]),  # in the row after a boundary
+    ])
+    def test_index_not_increasing_within_row_rejected(self, indptr, indices):
+        with pytest.raises(ValueError, match="increase"):
+            CsrMatrix(np.array(indptr), np.array(indices), np.ones(3), 3)
+
+    def test_index_decrease_across_rows_accepted(self):
+        # rows [1, 2], [], [0]: the step from 2 to 0 crosses a row boundary
+        X = CsrMatrix(np.array([0, 2, 2, 3]), np.array([1, 2, 0]), np.ones(3), 3)
+        assert X.row_ids().tolist() == [0, 0, 2]
+
+    def test_take_gathers_rows_in_order(self):
+        rows = [SparseCountVector(((1, 2.0), (3, 1.0)), 5), SparseCountVector((), 5),
+                SparseCountVector(((0, 0.5),), 5)]
+        X = CsrMatrix.from_rows(rows, 5).take(np.array([2, 0, 1, 2]))
+        assert X.indptr.tolist() == [0, 1, 3, 3, 4]
+        assert X.indices.tolist() == [0, 1, 3, 0]
+        assert X.data.tolist() == [0.5, 2.0, 1.0, 0.5]
+
 
 def deep_chain(depth: int) -> TreeNode:
     """A tree that splits on feature 0 at thresholds 0.5, 1.5, ...: a row

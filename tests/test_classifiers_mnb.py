@@ -8,6 +8,7 @@ import pytest
 
 from emojivote.classifiers import MnbConfig, mnb_fit, mnb_predict_proba
 from emojivote.features import SparseCountVector
+from emojivote.resample import SmoteConfig, smote
 
 from helpers import dataset_from_dense
 
@@ -33,7 +34,36 @@ def oracle_posterior(train_docs, train_labels, x, alpha, V, k):
     return [v / s for v in scores]
 
 
+def loop_fit(dataset, alpha):
+    """The per-entry loop `mnb_fit` summed its counts with before np.add.at."""
+    k, V = dataset.num_classes, dataset.dimension
+    class_counts = np.zeros(k)
+    feature_counts = np.zeros((k, V))
+    for row, lab in zip(dataset.rows, dataset.labels):
+        class_counts[lab] += 1
+        for idx, cnt in row.entries:
+            feature_counts[lab, idx] += cnt
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(class_counts / len(dataset))
+    totals = feature_counts.sum(axis=1, keepdims=True)
+    return log_priors, np.log(feature_counts + alpha) - np.log(totals + alpha * V)
+
+
 class TestMnbFit:
+    def test_equals_per_entry_loop(self):
+        rng = np.random.default_rng(4)
+        for seed in range(5):
+            labels = [c for c, n in enumerate((30, 9, 3)) for _ in range(n)]
+            X = rng.poisson(1.0, (len(labels), 6)).astype(float)
+            # a declared class with no rows, and SMOTE's fractional counts,
+            # whose sums depend on the order they are added in
+            for d in (dataset_from_dense(X, labels, 4),
+                      smote(dataset_from_dense(X, labels, 3), SmoteConfig(seed=seed))):
+                m = mnb_fit(d, MnbConfig(alpha=0.3))
+                log_priors, log_likelihoods = loop_fit(d, 0.3)
+                assert np.array_equal(m.log_priors, log_priors)
+                assert np.array_equal(m.log_likelihoods, log_likelihoods)
+
     def test_closed_form_example(self):
         # class 0: "a a b"; class 1: "b b"; alpha=0.5, V=2
         d = dataset_from_dense(np.array([[2.0, 1.0], [0.0, 2.0]]), [0, 1], 2)

@@ -146,6 +146,8 @@ class TestSparseCountVector:
             SparseCountVector(((1, 1.0), (0, 1.0)), 3)  # not increasing
         with pytest.raises(ValueError):
             SparseCountVector(((0, 0.0),), 3)  # zero count
+        with pytest.raises(ValueError, match="positive"):
+            SparseCountVector(((0, float("nan")),), 3)  # NaN count
         with pytest.raises(ValueError):
             SparseCountVector(((5, 1.0),), 3)  # index out of range
 

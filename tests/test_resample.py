@@ -2,18 +2,24 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emojivote.exceptions import DataError
 from emojivote.features import LabeledDataset, SparseCountVector
 from emojivote.resample import (
+    KNN_BLOCK,
     ResamplePlan,
     SmoteConfig,
+    _interpolate,
     nearest_neighbors,
     plan_resample,
     smote,
 )
 
-from helpers import dataset_from_dense
+from helpers import csr_from_dense, dataset_from_dense
+from smote_oracle import nearest_neighbors as oracle_nearest_neighbors
+from smote_oracle import smote as oracle_smote
 
 
 def skewed_dataset(seed=0, counts=(12, 5, 2), V=4):
@@ -63,7 +69,7 @@ class TestNearestNeighbors:
             n = int(rng.integers(2, 50))
             pts = rng.integers(0, 3, size=(n, 3)).astype(float)
             k = int(rng.integers(1, n))
-            got = nearest_neighbors(pts, k)
+            got = nearest_neighbors(csr_from_dense(pts), k)
             for i in range(n):
                 dists = sorted(
                     (float(((pts[j] - pts[i]) ** 2).sum()), j) for j in range(n) if j != i
@@ -72,9 +78,9 @@ class TestNearestNeighbors:
 
     def test_self_excluded(self):
         pts = np.zeros((3, 2))
-        for lst in nearest_neighbors(pts, 2):
+        for lst in nearest_neighbors(csr_from_dense(pts), 2):
             assert len(lst) == 2
-        assert 0 not in nearest_neighbors(pts, 2)[0]
+        assert 0 not in nearest_neighbors(csr_from_dense(pts), 2)[0]
 
 
 class TestSmote:
@@ -137,3 +143,60 @@ class TestSmote:
         )
         out = smote(d, SmoteConfig(k_neighbors=50, seed=0))  # class 1 has 1 member
         assert Counter(out.labels) == {0: 5, 1: 5}
+
+
+@st.composite
+def count_datasets(draw):
+    """A small integer-count dataset (empty and duplicate rows, singleton and
+
+    sometimes equal-sized classes) and a SMOTE config whose k may reach past
+    the class sizes.
+    """
+    V = draw(st.integers(1, 5))
+    counts = st.dictionaries(st.integers(0, V - 1), st.integers(1, 3))
+    base = draw(st.lists(counts, min_size=1, max_size=25))
+    rows = base + [base[i] for i in draw(st.lists(st.integers(0, len(base) - 1), max_size=8))]
+    drawn = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    classes = sorted(set(drawn))
+    dataset = LabeledDataset(
+        rows=[SparseCountVector(tuple((i, float(c)) for i, c in sorted(r.items())), V) for r in rows],
+        labels=[classes.index(lab) for lab in drawn], num_classes=len(classes), dimension=V,
+    )
+    return dataset, SmoteConfig(k_neighbors=draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**16)))
+
+
+class TestOracle:
+    """smote and nearest_neighbors equal the dense versions they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=count_datasets())
+    def test_small_datasets(self, case):
+        dataset, cfg = case
+        assert smote(dataset, cfg) == oracle_smote(dataset, cfg)
+
+    @pytest.mark.parametrize("counts, k", [
+        ((4, 4, 4), 5),  # already balanced
+        ((9, 1, 1), 5),  # singleton classes
+        ((12, 3, 2), 7),  # k at least the class size
+        ((3 * KNN_BLOCK, 2 * KNN_BLOCK + 7, 5), 5),  # a class larger than two k-NN blocks
+    ])
+    def test_edge_cases(self, counts, k):
+        rng = np.random.default_rng(len(counts) + k)
+        labels = [c for c, n in enumerate(counts) for _ in range(n)]
+        rng.shuffle(labels)
+        X = rng.poisson(0.6, size=(len(labels), 6)).astype(float)
+        d = dataset_from_dense(X, labels, len(counts))
+        cfg = SmoteConfig(k_neighbors=k, seed=3)
+        assert smote(d, cfg) == oracle_smote(d, cfg)
+
+    def test_interpolate_drops_exact_zeros(self):
+        # g = 0 zeroes the neighbor-only feature 1 (0 + 0 * (2 - 0))
+        points = csr_from_dense([[1.0, 0.0], [0.0, 2.0]])
+        (row,) = _interpolate(points, np.array([0]), np.array([1]), np.array([0.0]))
+        assert row == SparseCountVector(((0, 1.0),), 2)
+
+    def test_nearest_neighbors_tie_heavy_blocks(self):
+        rng = np.random.default_rng(12)
+        pts = rng.integers(0, 2, size=(3 * KNN_BLOCK + 5, 3)).astype(float)
+        for k in (1, 4, len(pts) - 1, len(pts) + 2):
+            assert nearest_neighbors(csr_from_dense(pts), k) == oracle_nearest_neighbors(pts, k)
