@@ -11,6 +11,7 @@ import os
 import pickle
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,10 +35,6 @@ class ModelArchive:
     version: int = FORMAT_VERSION
 
 
-def _pack_section(payload: bytes) -> bytes:
-    return struct.pack("<Q", len(payload)) + payload
-
-
 class _Reader:
     def __init__(self, blob: bytes):
         self.blob = blob
@@ -57,34 +54,48 @@ class _Reader:
         return self.take(length)
 
 
-def archive_save(archive: ModelArchive, path) -> None:
-    """Write atomically (temp file in the target directory, then rename)."""
-    header = json.dumps(
-        {
-            "language": archive.language,
-            "policy": archive.policy.value,
-            "metadata": archive.metadata,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    vocab_payload = pickle.dumps(archive.vocabulary, protocol=4)
-    model_payload = pickle.dumps(archive.model, protocol=4)
+@contextmanager
+def atomic_file(path, mode: str = "w+b", **kwargs):
+    """A temp file beside `path` that replaces it when the block succeeds and
 
-    body = MAGIC + bytes([archive.version])
-    for payload in (header, vocab_payload, model_payload):
-        body += _pack_section(payload)
-    body += hashlib.sha256(body).digest()
-
+    is removed when the block fails, so `path` is never left half written.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def archive_save(archive: ModelArchive, path) -> None:
+    """Write atomically. Each section goes straight into the file behind a
+
+    placeholder for its length, filled in once known, and the checksum is
+    taken over the file read back in blocks: no section is held whole in memory.
+    """
+    header = json.dumps(
+        {"language": archive.language, "policy": archive.policy.value, "metadata": archive.metadata},
+        sort_keys=True,
+    ).encode("utf-8")
+    with atomic_file(path) as fh:
+        fh.write(MAGIC + bytes([archive.version]) + struct.pack("<Q", len(header)) + header)
+        for section in (archive.vocabulary, archive.model):
+            start = fh.tell()
+            fh.write(bytes(8))
+            pickle.dump(section, fh, protocol=4)
+            end = fh.tell()
+            fh.seek(start)
+            fh.write(struct.pack("<Q", end - start - 8))
+            fh.seek(end)
+        fh.seek(0)
+        digest = hashlib.sha256()
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+        fh.write(digest.digest())
 
 
 def archive_load(path) -> ModelArchive:

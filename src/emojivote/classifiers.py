@@ -122,71 +122,70 @@ class LrModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    out = e + 1.0  # and reused: in the fit, each fresh (n, k) temporary may be faulted in anew
+    return np.divide(np.where(z >= 0, 1.0, e), out, out=out)
 
 
-def lr_objective(
-    w: np.ndarray, b: float, X: np.ndarray, y01: np.ndarray, lam: float
-) -> float:
-    """Mean logistic loss of a binary problem plus (lam/2)*||w||^2 (intercept free)."""
-    z = X @ w + b
-    ysign = 2.0 * y01 - 1.0
-    loss = np.logaddexp(0.0, -ysign * z).mean()
-    return float(loss + 0.5 * lam * (w @ w))
+def lr_objective(w: np.ndarray, b, X: np.ndarray, y01: np.ndarray, lam: float):
+    """Mean logistic loss of a binary problem plus (lam/2)*||w||^2 (intercept
+
+    free); for a (V, k) stack w, (k,) b and (n, k) y01, that of each column.
+    """
+    m = X @ w  # becomes -(2y - 1) z, the logit against the label
+    m += b
+    np.negative(m, out=m, where=y01 == 1.0)
+    loss = np.maximum(m, 0.0)  # plus log(1 + e^-|m|): log(1 + e^m) without overflow
+    np.log1p(np.exp(np.negative(np.abs(m, out=m), out=m), out=m), out=m)  # in place, as in _sigmoid
+    loss += m
+    return loss.mean(axis=0) + 0.5 * lam * (w * w).sum(axis=0)
 
 
-def lr_gradient(
-    w: np.ndarray, b: float, X: np.ndarray, y01: np.ndarray, lam: float
-) -> tuple[np.ndarray, float]:
+def lr_gradient(w: np.ndarray, b, X: np.ndarray, y01: np.ndarray, lam: float):
+    """(gradient in w, gradient in b) of lr_objective, column by column for a stack."""
     resid = _sigmoid(X @ w + b) - y01
-    gw = X.T @ resid / len(y01) + lam * w
-    gb = float(resid.mean())
-    return gw, gb
-
-
-def _fit_binary(X: np.ndarray, y01: np.ndarray, cfg: LrConfig) -> tuple[np.ndarray, float]:
-    # Full-batch gradient descent, zero init, Armijo backtracking (shrink 0.5,
-    # slope factor 1e-4).
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    obj = lr_objective(w, b, X, y01, cfg.l2_strength)
-    for _ in range(cfg.max_iters):
-        gw, gb = lr_gradient(w, b, X, y01, cfg.l2_strength)
-        gnorm_sq = gw @ gw + gb * gb
-        if math.sqrt(gnorm_sq) < cfg.tolerance:
-            break
-        step = 1.0
-        while step > 1e-16:
-            w_new = w - step * gw
-            b_new = b - step * gb
-            obj_new = lr_objective(w_new, b_new, X, y01, cfg.l2_strength)
-            if obj_new <= obj - 1e-4 * step * gnorm_sq:
-                break
-            step *= 0.5
-        else:
-            break  # no productive step exists at this point
-        w, b, obj = w_new, b_new, obj_new
-    return w, b
+    return X.T @ resid / len(y01) + lam * w, resid.mean(axis=0)
 
 
 def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
-    """One binary L2-regularized problem per class (one-vs-rest)."""
+    """One binary L2-regularized problem per class (one-vs-rest), all solved
+
+    together by full-batch gradient descent from zero with an Armijo
+    backtracking search per class (shrink 0.5, slope factor 1e-4). A class
+    stops when its gradient norm falls below the tolerance, or when no step
+    above 1e-16 decreases its objective enough.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot fit logistic regression on an empty dataset")
     if len(set(dataset.labels)) < 2:
         raise ValueError("logistic regression needs at least 2 distinct labels")
-    X, y = dataset.to_dense()
-    k = dataset.num_classes
-    W = np.zeros((k, dataset.dimension))
-    b = np.zeros(k)
-    for c in range(k):
-        W[c], b[c] = _fit_binary(X, (y == c).astype(float), cfg)
-    return LrModel(weights=W, intercepts=b, dimension=dataset.dimension, num_classes=k)
+    n, V, k, lam = len(dataset), dataset.dimension, dataset.num_classes, cfg.l2_strength
+    rows = CsrMatrix.from_rows(dataset.rows, V)
+    X = np.zeros((n, V))
+    X[rows.row_ids(), rows.indices] = rows.data
+    Y = (np.asarray(dataset.labels)[:, None] == np.arange(k)).astype(float)
+    W, b = np.zeros((V, k)), np.zeros(k)
+    obj = lr_objective(W, b, X, Y, lam)
+    active = np.arange(k)  # the classes still descending
+    for _ in range(cfg.max_iters):
+        gW, gb = lr_gradient(W[:, active], b[active], X, Y[:, active], lam)
+        gnorm_sq = (gW * gW).sum(axis=0) + gb * gb
+        moving = ~(np.sqrt(gnorm_sq) < cfg.tolerance)
+        active, gW, gb, gnorm_sq = active[moving], gW[:, moving], gb[moving], gnorm_sq[moving]
+        step = np.ones(len(active))
+        trying = np.arange(len(active))  # positions in active still searching
+        while trying.size:
+            c, s = active[trying], step[trying]
+            W_try, b_try = W[:, c] - s * gW[:, trying], b[c] - s * gb[trying]
+            obj_try = lr_objective(W_try, b_try, X, Y[:, c], lam)
+            ok = obj_try <= obj[c] - 1e-4 * s * gnorm_sq[trying]
+            W[:, c[ok]], b[c[ok]], obj[c[ok]] = W_try[:, ok], b_try[ok], obj_try[ok]
+            step[trying[~ok]] *= 0.5
+            trying = trying[~ok & (step[trying] > 1e-16)]
+        active = active[step > 1e-16]  # a class with no productive step stops there
+        if not active.size:
+            break
+    return LrModel(weights=W.T.copy(), intercepts=b, dimension=V, num_classes=k)
 
 
 @_batched

@@ -6,16 +6,13 @@ overridden by explicit flags.
 """
 
 import argparse
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .archive import ModelArchive, archive_load, archive_save
+from .archive import ModelArchive, archive_load, archive_save, atomic_file
 from .classifiers import LrConfig, MnbConfig, RfConfig
 from .corpus import (
     LabelMapping,
@@ -106,16 +103,8 @@ def _run_config(args) -> RunConfig:
 
 
 def _write_atomic(path, content: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_file(path, "w", encoding="utf-8") as fh:
+        fh.write(content)
 
 
 def _stratified_split(corpus: RawCorpus, fraction: float, seed: int):
@@ -171,6 +160,8 @@ def cmd_train(args) -> int:
         print(f"split: {len(corpus)} train / {len(test_corpus)} held out")
 
     vocab, dataset = vectorize_corpus(corpus, cfg.policy, cfg.features)
+    if vocab.size == 0:
+        raise DataError(f"no n-gram occurs in --min-df {cfg.features.min_df} tweets; lower it")
     dist = class_distribution(corpus)
     print(f"corpus: {len(corpus)} tweets, {corpus.num_classes} classes")
     print(

@@ -134,13 +134,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def to_dense(self) -> tuple[np.ndarray, np.ndarray]:
-        X = np.zeros((len(self.rows), self.dimension))
-        for i, row in enumerate(self.rows):
-            for idx, cnt in row.entries:
-                X[i, idx] = cnt
-        return X, np.asarray(self.labels, dtype=np.intp)
-
 
 def _is_bigram(feature: str) -> bool:
     return " " in feature

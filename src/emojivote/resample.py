@@ -60,6 +60,7 @@ def nearest_neighbors(points: CsrMatrix, k: int) -> list[list[int]]:
     distances equal the sums of squared differences bit for bit.
     """
     n = len(points)
+    k = min(k, n)  # past n - 1, a row's own index comes last
     rows = points.row_ids()
     # astype: bincount returns integers when there are no entries at all
     sq_norms = np.bincount(rows, weights=points.data**2, minlength=n).astype(float)
@@ -77,10 +78,15 @@ def nearest_neighbors(points: CsrMatrix, k: int) -> list[list[int]]:
         cells = (rows[lo:hi][entry] - start) * n + pairs.indices
         products = points.data[lo:hi][entry] * pairs.data
         gram = np.bincount(cells, weights=products, minlength=(stop - start) * n)
+        del pairs, entry, cells, products  # else alive while the next block builds its own
         d2 = sq_norms[start:stop, None] + sq_norms - 2 * gram.reshape(stop - start, n)
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        # stable keeps the lower index first on ties
-        out.extend(np.argsort(d2, axis=1, kind="stable")[:, :k].tolist())
+        # Sort only entries at or below each row's k-th distance, stably: ties to the lower index.
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        row, col = np.nonzero(d2 <= kth)
+        order = np.lexsort((d2[row, col], row))
+        first = np.searchsorted(row[order], np.arange(stop - start))
+        out.extend(col[order][first[:, None] + np.arange(k)].tolist())
     return out
 
 

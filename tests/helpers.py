@@ -16,6 +16,14 @@ def dataset_from_dense(X, labels, num_classes) -> LabeledDataset:
     )
 
 
+def dataset_to_dense(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    X = np.zeros((len(dataset.rows), dataset.dimension))
+    for i, row in enumerate(dataset.rows):
+        for idx, cnt in row.entries:
+            X[i, idx] = cnt
+    return X, np.asarray(dataset.labels, dtype=np.intp)
+
+
 def csr_from_dense(X) -> CsrMatrix:
     X = np.asarray(X, dtype=float)
     return CsrMatrix.from_rows([SparseCountVector.from_dense(r) for r in X], X.shape[1])

@@ -14,6 +14,8 @@ import numpy as np
 from emojivote.classifiers import RfConfig, RfModel
 from emojivote.features import LabeledDataset
 
+from helpers import dataset_to_dense
+
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -111,7 +113,7 @@ def oracle_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a random forest on an empty dataset")
-    X, y = dataset.to_dense()
+    X, y = dataset_to_dense(dataset)
     n = len(y)
     trees = []
     for t in range(cfg.n_trees):

@@ -1,9 +1,12 @@
 import hashlib
+import json
+import pickle
+import struct
 
 import numpy as np
 import pytest
 
-from emojivote.archive import ModelArchive, archive_load, archive_save
+from emojivote.archive import FORMAT_VERSION, MAGIC, ModelArchive, archive_load, archive_save
 from emojivote.classifiers import LrConfig, RfConfig
 from emojivote.cli import main
 from emojivote.ensemble import build_meta
@@ -68,6 +71,21 @@ class TestRoundTrip:
         archive_save(trained_archive, tmp_path / "a.bin")
         archive_save(trained_archive, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_streamed_file_equals_concatenated_layout(self, trained_archive, tmp_path):
+        # magic, version, three length-prefixed sections, then the SHA-256 of all that
+        header = {"language": "en", "policy": AsciiPolicy.KEEP_MOST.value, "metadata": {"seed": 0}}
+        body = MAGIC + bytes([FORMAT_VERSION])
+        for payload in (
+            json.dumps(header, sort_keys=True).encode("utf-8"),
+            pickle.dumps(trained_archive.vocabulary, protocol=4),
+            pickle.dumps(trained_archive.model, protocol=4),
+        ):
+            body += struct.pack("<Q", len(payload)) + payload
+        body += hashlib.sha256(body).digest()
+        archive_save(trained_archive, tmp_path / "m.bin")
+        assert (tmp_path / "m.bin").read_bytes() == body
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]  # no temp file left
 
 
 class TestCorruption:

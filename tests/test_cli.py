@@ -94,6 +94,15 @@ class TestTrain:
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_empty_vocabulary_is_data_error(self, toy_files, tmp_path, capsys):
+        rc = main(
+            ["train", str(toy_files / "t.txt"), str(toy_files / "l.txt"), "-k", "3",
+             "-o", str(tmp_path / "m.bin"), "--min-df", "100000"]
+        )
+        assert rc == 2
+        assert "--min-df 100000" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.parametrize("split", ["-0.2", "0", "1.0", "1.5"])
     def test_split_out_of_range_is_usage_error(self, toy_files, tmp_path, split):
         rc = main(
