@@ -8,6 +8,9 @@ fit works on real-valued count sums.
 
 import functools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +214,8 @@ class RfConfig:
             raise ValueError("n_trees must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("max_features must be >= 1 (or None)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,100 +241,274 @@ class RfModel:
         return rf_predict_proba(self, X)
 
 
-def _best_split(X: CsrMatrix, y, rows, totals, candidates, slot, min_leaf):
-    """(feature, threshold, goes-left mask over rows) of least weighted Gini
+# Below this many rows x trees the forest grows in this process alone. A fork
+# costs about 7 ms at 60 MB RSS; on 2 cores, 20 trees broke even with two
+# workers at about 30-45 rows, 5 trees at about 100-150.
+FORK_MIN_ROW_TREES = 700
 
-    impurity at the node holding samples `rows`, or None. Only the nonzeros
-    are read: counts are positive, so a candidate's samples sort into its
-    zero segment, whose class counts are the node's totals minus those of its
-    nonzeros, then one segment per distinct nonzero value. Every boundary is
-    scored at once; the first least one in (candidate, value) order wins.
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(n_trees: int, n_rows: int) -> int:
+    """Processes to grow the forest in: one per usable CPU, at most one per tree."""
+    if not hasattr(os, "fork") or n_rows * n_trees < FORK_MIN_ROW_TREES:
+        return 1
+    return min(_usable_cpus(), n_trees)
+
+
+def _entries(indptr: np.ndarray, ids: np.ndarray):
+    """(owner, position) of every entry stored under the rows `ids` of a CSR
+
+    layout, row after row: owner is the row's place in `ids`.
     """
-    m, k, F = len(rows), len(totals), len(candidates)
-    starts = X.indptr[rows]
-    lengths = X.indptr[rows + 1] - starts
-    owner = np.repeat(np.arange(m), lengths)  # the node position of each gathered entry
-    pos = np.arange(len(owner)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    slot[candidates] = np.arange(F)
-    cand = slot[X.indices[pos]]
-    slot[candidates] = -1
-    keep = cand >= 0
-    # A zero-valued stand-in (owner m, of no class) heads each candidate's zero segment.
-    cand = np.concatenate([np.arange(F), cand[keep]])
-    value = np.concatenate([np.zeros(F), X.data[pos[keep]]])
-    owner = np.concatenate([np.full(F, m), owner[keep]])
-    order = np.lexsort((value, cand))
-    cand, value, owner = cand[order], value[order], owner[order]
-    new = np.ones(len(cand), dtype=bool)
-    new[1:] = (cand[1:] != cand[:-1]) | (value[1:] != value[:-1])
-    first = np.flatnonzero(new)  # each segment's first entry
-    seg = np.cumsum(new) - 1  # each entry's segment
-    label = np.append(y[rows], k)[owner]  # stand-ins count in column k, then dropped
-    counts = np.bincount(seg * (k + 1) + label, minlength=len(first) * (k + 1))
-    counts = counts.reshape(-1, k + 1)[:, :k]
-    heads = seg[owner == m]
-    counts[heads] = totals - np.add.reduceat(counts, heads)
-    # A candidate's segments hold all m samples, so candidate j's sums start at j * totals.
-    # An empty zero segment puts no sample on the left, so it is never a boundary.
-    left = np.cumsum(counts, axis=0) - cand[first, None] * totals
-    nl = left.sum(axis=1)
-    boundary = np.flatnonzero(
-        (np.diff(cand[first]) == 0) & (nl[:-1] >= min_leaf) & (m - nl[:-1] >= min_leaf)
-    )
-    if boundary.size == 0:
-        return None
-    left, nl = left[boundary], nl[boundary]
-    right, nr = totals - left, m - nl
-    gini = lambda c, n: 1.0 - (c**2).sum(axis=1) / n**2
-    b = boundary[np.argmin((nl * gini(left, nl) + nr * gini(right, nr)) / (nl + nr))]
-    j, lo, hi = cand[first[b]], value[first[b]], value[first[b + 1]]
-    threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo  # may round up to hi if adjacent
-    x = np.zeros(m + 1)
-    x[owner[cand == j]] = value[cand == j]
-    return candidates[j], threshold, x[:m] <= threshold
+    starts = indptr[ids]
+    lengths = indptr[ids + 1] - starts
+    owner = np.repeat(np.arange(len(ids)), lengths)
+    return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+class _TreeGrower:
+    """Grows the trees of one forest from the training rows (CSR), their
+
+    columns (the transposed CSR) and the labels, with scratch arrays that each
+    node sets and resets. A node is the sorted array of its sample rows,
+    bootstrap duplicates included; the order of a node's rows never changes
+    its split, so sorting only makes duplicates adjacent.
+    """
+
+    def __init__(self, X: CsrMatrix, y: np.ndarray, k: int, cfg: RfConfig):
+        n, V = len(X), X.dimension
+        self.X, self.columns, self.k, self.cfg = X, X.transpose(), k, cfg
+        self.labels = np.append(y, k)  # row n is the zero stand-in, of no class
+        self.row_nnz, self.col_nnz = np.diff(X.indptr), np.diff(self.columns.indptr)
+        max_feats = cfg.max_features if cfg.max_features is not None else math.ceil(math.sqrt(V))
+        self.max_feats = min(max_feats, V)
+        self.slot = np.full(V, -1)  # a feature's place among the node's candidates, else -1
+        self.copies = np.zeros(n, dtype=np.intp)  # a row's number of copies in the node
+        self.x = np.zeros(n + 1)  # the split feature's value in each row
+
+    def grow(self, trees) -> tuple:
+        """The packed arrays (feature, threshold, left, right, counts, roots) of
+
+        the given trees, nodes numbered from 0. Tree t's RNG stream derives
+        from (seed, t). Each tree grows from an explicit stack, left child
+        before right, so nodes are numbered and the RNG drawn in preorder.
+        """
+        cfg, n, V, k = self.cfg, len(self.X), self.X.dimension, self.k
+        nodes, roots = [], []  # nodes: [feature, threshold, left, right, counts]
+        for t in trees:
+            rng = np.random.default_rng([cfg.seed, t])
+            roots.append(len(nodes))
+            sample = np.sort(rng.integers(0, n, size=n)) if cfg.bootstrap else np.arange(n)
+            stack = [(sample, None, 0)]  # (rows, the parent's node, 2 if left child else 3)
+            while stack:
+                rows, parent, side = stack.pop()
+                if parent is not None:
+                    parent[side] = len(nodes)
+                totals = np.bincount(self.labels[rows], minlength=k)
+                split = None
+                if np.count_nonzero(totals) > 1 and len(rows) >= 2 * cfg.min_samples_leaf:
+                    candidates = rng.choice(V, size=self.max_feats, replace=False)
+                    split = self._best_split(rows, totals, candidates)
+                if split is None:
+                    nodes.append([-1, 0.0, -1, -1, totals.astype(float)])
+                else:
+                    f, threshold, go_left = split
+                    nodes.append([f, threshold, -1, -1, np.zeros(k)])
+                    stack += [(rows[~go_left], nodes[-1], 3), (rows[go_left], nodes[-1], 2)]
+        feature, threshold, left, right, counts = zip(*nodes)
+        index = lambda values: np.array(values, dtype=np.intp)
+        threshold, counts = np.array(threshold, dtype=float), np.array(counts, dtype=float)
+        return index(feature), threshold, index(left), index(right), counts, index(roots)
+
+    def _row_entries(self, rows, candidates):
+        """(candidate place, value, row, weight) of the candidates' entries in
+
+        the node, read from the node's rows: one entry per copy of a row, so
+        the weight is None (1 each).
+        """
+        owner, pos = _entries(self.X.indptr, rows)
+        self.slot[candidates] = np.arange(len(candidates))
+        cand = self.slot[self.X.indices[pos]]
+        self.slot[candidates] = -1
+        keep = np.flatnonzero(cand >= 0)
+        return cand[keep], self.X.data[pos[keep]], rows[owner[keep]], None
+
+    def _column_entries(self, rows, candidates):
+        """The same entries read from the candidates' columns, each once, its
+
+        weight the number of copies of its row in the node.
+        """
+        first = np.flatnonzero(np.diff(rows, prepend=-1))  # rows are sorted
+        self.copies[rows[first]] = np.diff(first, append=len(rows))
+        cand, pos = _entries(self.columns.indptr, candidates)
+        row = self.columns.indices[pos]
+        weight = self.copies[row]
+        self.copies[rows[first]] = 0
+        keep = np.flatnonzero(weight)
+        return cand[keep], self.columns.data[pos[keep]], row[keep], weight[keep]
+
+    def _best_split(self, rows, totals, candidates):
+        """(feature, threshold, goes-left mask over rows) of least weighted Gini
+
+        impurity at the node holding samples `rows`, or None. Only the
+        candidates' nonzeros are read, from the node's rows or from the
+        candidates' columns, whichever holds fewer entries. Counts are
+        positive, so a candidate's samples sort into its zero segment, whose
+        class counts are the node's totals minus those of its nonzeros, then
+        one segment per distinct nonzero value. Every boundary is scored at
+        once; the first least one in (candidate, value) order wins.
+        """
+        m, k, F, n = len(rows), self.k, len(candidates), len(self.X)
+        if self.col_nnz[candidates].sum() < self.row_nnz[rows].sum():
+            cand, value, owner, weight = self._column_entries(rows, candidates)
+        else:
+            cand, value, owner, weight = self._row_entries(rows, candidates)
+        # A zero-valued stand-in (owner n, of no class) heads each candidate's zero segment.
+        cand = np.concatenate([np.arange(F), cand])
+        value = np.concatenate([np.zeros(F), value])
+        owner = np.concatenate([np.full(F, n), owner])
+        order = np.lexsort((value, cand))
+        cand, value, owner = cand[order], value[order], owner[order]
+        if weight is not None:
+            weight = np.concatenate([np.ones(F, dtype=np.intp), weight])[order]
+        new = np.ones(len(cand), dtype=bool)
+        new[1:] = (cand[1:] != cand[:-1]) | (value[1:] != value[:-1])
+        first = np.flatnonzero(new)  # each segment's first entry
+        seg = np.cumsum(new) - 1  # each entry's segment
+        # Stand-ins count in column k, then dropped; weighted sums of integers are exact.
+        counts = np.bincount(seg * (k + 1) + self.labels[owner], weight, len(first) * (k + 1))
+        counts = counts.astype(np.intp, copy=False).reshape(-1, k + 1)[:, :k]
+        heads = seg[owner == n]
+        counts[heads] = totals - np.add.reduceat(counts, heads)
+        # A candidate's segments hold all m samples, so candidate j's sums start at j * totals.
+        # An empty zero segment puts no sample on the left, so it is never a boundary.
+        left = np.cumsum(counts, axis=0) - cand[first, None] * totals
+        nl = left.sum(axis=1)
+        min_leaf = self.cfg.min_samples_leaf
+        boundary = np.flatnonzero(
+            (np.diff(cand[first]) == 0) & (nl[:-1] >= min_leaf) & (m - nl[:-1] >= min_leaf)
+        )
+        if boundary.size == 0:
+            return None
+        left, nl = left[boundary], nl[boundary]
+        right, nr = totals - left, m - nl
+        gini = lambda c, n: 1.0 - (c**2).sum(axis=1) / n**2
+        b = boundary[np.argmin((nl * gini(left, nl) + nr * gini(right, nr)) / (nl + nr))]
+        j, lo, hi = cand[first[b]], value[first[b]], value[first[b + 1]]
+        threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo  # may round up to hi if adjacent
+        rows_j = owner[cand == j]
+        self.x[rows_j] = value[cand == j]
+        go_left = self.x[rows] <= threshold
+        self.x[rows_j] = 0.0
+        return candidates[j], threshold, go_left
+
+
+def _fork_worker(grower: _TreeGrower, trees) -> tuple:
+    """(pid, read end of its pipe) of a child that grows `trees` and sends back
+
+    ("trees", arrays) or ("error", exception). The child leaves by os._exit
+    once its pipe is flushed, so no stdio buffer or exit handler of this
+    process runs twice.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    outcome = ("trees", grower.grow(trees))
+                except BaseException as exc:  # the parent re-raises it
+                    try:
+                        error = pickle.dumps(("error", exc))
+                    except Exception:  # an exception that does not pickle
+                        error = pickle.dumps(("error", RuntimeError(repr(exc))))
+                    pipe.write(error)
+                else:
+                    pickle.dump(outcome, pipe, protocol=5)  # arrays written without a copy
+                    status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _unpack(pid: int, outcome, code: int) -> tuple:
+    """The arrays a worker sent; raises its exception, or RuntimeError if it died."""
+    if outcome is not None and outcome[0] == "error":
+        raise outcome[1]
+    if outcome is None or code != 0:
+        cause = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(f"random-forest worker {pid} ended with {cause}")
+    return outcome[1]
+
+
+def _grow_in_workers(grower: _TreeGrower, shares: list) -> list[tuple]:
+    """Each share's packed arrays: the first grown here, the others in forked
+
+    workers. If anything fails, the workers not yet reaped are killed and
+    reaped before the exception propagates.
+    """
+    workers = []  # (pid, pipe) of the workers not yet reaped
+    try:
+        for share in shares[1:]:
+            workers.append(_fork_worker(grower, share))
+        parts = [grower.grow(shares[0])]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                try:
+                    outcome = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # cut short: the worker died
+                    outcome = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            parts.append(_unpack(pid, outcome, code))
+        return parts
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     """Grow n_trees CART trees on bootstrap resamples. Each tree's RNG stream
 
-    derives from (seed, tree index), so the result is seed-deterministic. A
-    tree grows from an explicit stack of nodes, each an array of sample rows
-    (bootstrap duplicates included), left child before right, so nodes are
-    numbered and the RNG is drawn in preorder.
+    derives from (seed, tree index), so the result is seed-deterministic, and
+    the same however many processes grow it: the trees are split into
+    contiguous shares, one per worker process, and concatenated in order.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a random forest on an empty dataset")
     X = CsrMatrix.from_rows(dataset.rows, dataset.dimension)
     y = np.asarray(dataset.labels, dtype=np.intp)
-    n, V, k = len(y), dataset.dimension, dataset.num_classes
-    max_feats = cfg.max_features if cfg.max_features is not None else math.ceil(math.sqrt(V))
-    max_feats = min(max(max_feats, 1), V)
-    slot = np.full(V, -1)  # a feature's place among the node's candidates, else -1
-    nodes, roots = [], []  # nodes: [feature, threshold, left, right, counts]
-    for t in range(cfg.n_trees):
-        rng = np.random.default_rng([cfg.seed, t])
-        roots.append(len(nodes))
-        sample = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        stack = [(sample, None, 0)]  # (rows, the parent's node, 2 if left child else 3)
-        while stack:
-            rows, parent, side = stack.pop()
-            if parent is not None:
-                parent[side] = len(nodes)
-            totals = np.bincount(y[rows], minlength=k)
-            split = None
-            if np.count_nonzero(totals) > 1 and len(rows) >= 2 * cfg.min_samples_leaf:
-                candidates = rng.choice(V, size=max_feats, replace=False)
-                split = _best_split(X, y, rows, totals, candidates, slot, cfg.min_samples_leaf)
-            if split is None:
-                nodes.append([-1, 0.0, -1, -1, totals.astype(float)])
-            else:
-                f, threshold, go_left = split
-                nodes.append([f, threshold, -1, -1, np.zeros(k)])
-                stack += [(rows[~go_left], nodes[-1], 3), (rows[go_left], nodes[-1], 2)]
-    feature, threshold, left, right, counts = zip(*nodes)
-    index = lambda values: np.array(values, dtype=np.intp)
-    threshold, counts = np.array(threshold, dtype=float), np.array(counts, dtype=float)
-    return RfModel(V, k, index(feature), threshold, index(left), index(right), counts, index(roots))
+    grower = _TreeGrower(X, y, dataset.num_classes, cfg)
+    workers = _worker_count(cfg.n_trees, len(y))
+    shares = np.array_split(np.arange(cfg.n_trees), workers)
+    parts = _grow_in_workers(grower, shares) if workers > 1 else [grower.grow(shares[0])]
+    feature, threshold, left, right, counts, roots = map(np.concatenate, zip(*parts))
+    # Renumber each share's nodes after those of the shares before it; -1 stays -1.
+    sizes = [len(part[0]) for part in parts]
+    offsets = np.cumsum([0] + sizes[:-1])
+    node_offset = np.repeat(offsets, sizes)
+    left = np.where(left >= 0, left + node_offset, -1)
+    right = np.where(right >= 0, right + node_offset, -1)
+    roots = roots + np.repeat(offsets, [len(share) for share in shares])
+    k = dataset.num_classes
+    return RfModel(dataset.dimension, k, feature, threshold, left, right, counts, roots)
 
 
 @_batched

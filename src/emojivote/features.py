@@ -105,6 +105,16 @@ class CsrMatrix:
         entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
         return CsrMatrix(indptr, self.indices[entries], self.data[entries], self.dimension)
 
+    def transpose(self) -> "CsrMatrix":
+        """The columns as rows: row j holds the rows with a count in column j,
+
+        in increasing order, and those counts.
+        """
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(self.dimension + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.indices, minlength=self.dimension), out=indptr[1:])
+        return CsrMatrix(indptr, self.row_ids()[order], self.data[order], len(self))
+
     @classmethod
     def from_rows(cls, rows: list[SparseCountVector], dimension: int) -> "CsrMatrix":
         indptr = np.zeros(len(rows) + 1, dtype=np.intp)

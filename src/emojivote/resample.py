@@ -64,11 +64,7 @@ def nearest_neighbors(points: CsrMatrix, k: int) -> list[list[int]]:
     rows = points.row_ids()
     # astype: bincount returns integers when there are no entries at all
     sq_norms = np.bincount(rows, weights=points.data**2, minlength=n).astype(float)
-    # The class's columns: for each feature, the rows holding it, in row order.
-    by_feature = np.argsort(points.indices, kind="stable")
-    col_ptr = np.zeros(points.dimension + 1, dtype=np.intp)
-    np.cumsum(np.bincount(points.indices, minlength=points.dimension), out=col_ptr[1:])
-    columns = CsrMatrix(col_ptr, rows[by_feature], points.data[by_feature], n)
+    columns = points.transpose()  # for each feature, the rows holding it
     out = []
     for start in range(0, n, KNN_BLOCK):
         stop = min(start + KNN_BLOCK, n)

@@ -161,6 +161,19 @@ class TestCsrMatrix:
         assert X.indices.tolist() == [0, 1, 3, 0]
         assert X.data.tolist() == [0.5, 2.0, 1.0, 0.5]
 
+    def test_transpose_lists_each_column_in_row_order(self):
+        rows = [SparseCountVector(((1, 2.0), (3, 1.0)), 5), SparseCountVector((), 5),
+                SparseCountVector(((0, 0.5), (3, 4.0)), 5)]
+        X = CsrMatrix.from_rows(rows, 5)
+        T = X.transpose()
+        assert (len(T), T.dimension) == (5, 3)
+        assert T.indptr.tolist() == [0, 1, 2, 2, 4, 4]
+        assert T.indices.tolist() == [2, 0, 0, 2]
+        assert T.data.tolist() == [0.5, 2.0, 1.0, 4.0]
+        back = T.transpose()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back, name), getattr(X, name))
+
 
 def deep_chain(depth: int) -> TreeNode:
     """A tree that splits on feature 0 at thresholds 0.5, 1.5, ...: a row

@@ -1,8 +1,14 @@
+import dataclasses
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emojivote import classifiers
 from emojivote.archive import ModelArchive, archive_load, archive_save
 from emojivote.classifiers import RfConfig, rf_fit, rf_predict_proba
 from emojivote.ensemble import EnsembleSpec, MetaSpec
@@ -72,6 +78,16 @@ class TestFit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rf_fit(dataset_from_dense(np.zeros((0, 2)), [], 2))
+
+    @pytest.mark.parametrize("max_features", [0, -3])
+    def test_max_features_below_one_rejected(self, max_features):
+        with pytest.raises(ValueError, match="max_features"):
+            RfConfig(max_features=max_features)
+
+    def test_max_features_above_dimension_caps(self):
+        d = make_consistent_dataset(seed=2)
+        capped = rf_fit(d, RfConfig(n_trees=2, max_features=d.dimension + 5, seed=1))
+        assert_same_forest(capped, rf_fit(d, RfConfig(n_trees=2, max_features=d.dimension, seed=1)))
 
     def test_min_samples_leaf(self):
         d = make_consistent_dataset(seed=5)
@@ -226,3 +242,142 @@ class TestDeepFit:
         archive_save(archive, tmp_path / "deep.bin")
         loaded = archive_load(tmp_path / "deep.bin").model.ensemble1.members[0]
         assert np.array_equal(loaded.predict_proba(X), probs)
+
+
+def force(mp, gather=None, workers=None):
+    """Make rf_fit read every node's rows, or every node's candidate columns,
+
+    and grow its forest in up to `workers` processes however small it is.
+    """
+    grower = classifiers._TreeGrower
+    if gather == "rows":
+        mp.setattr(grower, "_column_entries", grower._row_entries)
+    elif gather == "columns":
+        mp.setattr(grower, "_row_entries", grower._column_entries)
+    if workers is not None:
+        mp.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        mp.setattr(classifiers, "_usable_cpus", lambda: workers)
+
+
+class TestEveryPath:
+    """Both gathers and any number of workers grow the oracle's trees."""
+
+    @pytest.mark.parametrize("gather", ["rows", "columns"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(case=forest_cases(), n_trees=st.sampled_from([1, 2, 3, 20]))
+    def test_small_datasets(self, gather, workers, case, n_trees):
+        dataset, cfg = case
+        cfg = dataclasses.replace(cfg, n_trees=n_trees)
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, gather, workers)
+            model = rf_fit(dataset, cfg)
+        assert_same_forest(model, oracle_fit(dataset, cfg))
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """The pids of the children os.fork makes from now on."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor a zombie
+            os.waitpid(pid, os.WNOHANG)
+
+
+def first_run(monkeypatch, in_parent=None, in_worker=None):
+    """Make each process call its action before growing its share of trees."""
+    parent, grow = os.getpid(), classifiers._TreeGrower.grow
+
+    def patched(self, trees):
+        action = in_parent if os.getpid() == parent else in_worker
+        if action is not None:
+            action()
+        return grow(self, trees)
+
+    monkeypatch.setattr(classifiers._TreeGrower, "grow", patched)
+
+
+def raise_(exc):
+    raise exc
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_trees", [1, 2, 5])
+    def test_one_worker_per_cpu_at_most_one_per_tree(self, monkeypatch, cpus, n_trees):
+        d = make_consistent_dataset(seed=1)
+        force(monkeypatch, workers=cpus)
+        pids = record_forks(monkeypatch)
+        model = rf_fit(d, RfConfig(n_trees=n_trees, seed=2))
+        assert len(pids) + 1 == min(cpus, n_trees)
+        assert len(model.roots) == n_trees
+        assert_reaped(pids)
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert classifiers._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert classifiers._usable_cpus() == 3
+
+    @pytest.mark.parametrize("reason", ["no fork", "one cpu", "one tree", "below cut-off"])
+    def test_serial_fallback(self, monkeypatch, reason):
+        d = make_consistent_dataset(seed=6)
+        cfg = RfConfig(n_trees=1 if reason == "one tree" else 4, seed=5)
+        cut_off = len(d) * cfg.n_trees + 1 if reason == "below cut-off" else 0
+        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", cut_off)
+        if reason == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
+        if reason == "one cpu":
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert_same_forest(rf_fit(d, cfg), oracle_fit(d, cfg))
+
+    @pytest.mark.parametrize("exc, raised", [
+        (MemoryError(), MemoryError),
+        (ValueError("bad"), ValueError),
+        (ValueError(lambda: 0), RuntimeError),  # does not pickle: sent as its repr
+    ])
+    def test_worker_exception_raised_in_parent(self, monkeypatch, exc, raised):
+        force(monkeypatch, workers=3)
+        pids = record_forks(monkeypatch)
+        first_run(monkeypatch, in_worker=lambda: raise_(exc))
+        with pytest.raises(raised):
+            rf_fit(make_consistent_dataset(seed=8), RfConfig(n_trees=6))
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_killed_worker_raises(self, monkeypatch):
+        force(monkeypatch, workers=3)
+        pids = record_forks(monkeypatch)
+        first_run(monkeypatch, in_worker=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
+            rf_fit(make_consistent_dataset(seed=8), RfConfig(n_trees=6))
+        assert_reaped(pids)
+
+    def test_parent_failure_kills_and_reaps_workers(self, monkeypatch):
+        force(monkeypatch, workers=3)
+        pids = record_forks(monkeypatch)
+        first_run(
+            monkeypatch, in_parent=lambda: raise_(KeyboardInterrupt()),
+            in_worker=lambda: time.sleep(60),
+        )
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            rf_fit(make_consistent_dataset(seed=8), RfConfig(n_trees=6))
+        assert time.monotonic() - start < 30
+        assert len(pids) == 2
+        assert_reaped(pids)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import emojivote
 from emojivote.archive import archive_load
 from emojivote.cli import main
 from emojivote.features import text_to_vector
@@ -111,6 +117,21 @@ class TestTrain:
         )
         assert rc == 1
         assert not (tmp_path / "m.bin").exists()
+
+    def test_output_printed_once_with_forked_workers(self, toy_files, tmp_path):
+        # 90 tweets x 20 trees grow in forked workers on a machine with 2+ CPUs;
+        # piped stdout is block-buffered, so a worker that flushed it at exit
+        # would print these lines again.
+        src = str(Path(emojivote.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "emojivote.cli", "train", str(toy_files / "t.txt"),
+             str(toy_files / "l.txt"), "-k", "3", "-o", str(tmp_path / "m.bin"), "--min-df", "2"],
+            stdout=subprocess.PIPE, env=env, text=True, timeout=120, check=True,
+        )
+        for line in ("corpus:", "vocabulary:", "resample plan:", "model written"):
+            assert proc.stdout.count(line) == 1, proc.stdout
 
     def test_split_holds_out_a_fraction(self, toy_files, tmp_path, capsys):
         rc = main(
