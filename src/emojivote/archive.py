@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ensemble import MetaSpec
-from .exceptions import ArchiveChecksumError, ArchiveTruncatedError, ArchiveVersionError
+from .exceptions import (
+    ArchiveChecksumError,
+    ArchiveError,
+    ArchiveTruncatedError,
+    ArchiveVersionError,
+)
 from .features import Vocabulary
 from .preprocess import AsciiPolicy
 
@@ -114,14 +119,16 @@ def archive_load(path) -> ModelArchive:
     sections = [reader.section() for _ in range(3)]
     if hashlib.sha256(body).digest() != digest:
         raise ArchiveChecksumError(f"{path}: checksum mismatch")
-    header = json.loads(sections[0].decode("utf-8"))
-    vocabulary = pickle.loads(sections[1])
-    model = pickle.loads(sections[2])
-    return ModelArchive(
-        language=header["language"],
-        policy=AsciiPolicy(header["policy"]),
-        vocabulary=vocabulary,
-        model=model,
-        metadata=header["metadata"],
-        version=version,
-    )
+    try:
+        header = json.loads(sections[0].decode("utf-8"))
+        language, policy = header["language"], AsciiPolicy(header["policy"])
+        metadata = header["metadata"]
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, a key missing, a bad policy
+        raise ArchiveError(f"{path}: malformed header: {exc!r}") from exc
+    try:
+        vocabulary, model = pickle.loads(sections[1]), pickle.loads(sections[2])
+    except Exception as exc:  # unpickling raises almost any type, as pickle's docs warn
+        raise ArchiveError(f"{path}: a section does not unpickle: {exc!r}") from exc
+    if not (isinstance(vocabulary, Vocabulary) and isinstance(model, MetaSpec)):
+        raise ArchiveError(f"{path}: sections are not a vocabulary and a model")
+    return ModelArchive(language, policy, vocabulary, model, metadata, version)

@@ -6,6 +6,7 @@ soft votes downstream. Counts may be fractional (oversampled data), so every
 fit works on real-valued count sums.
 """
 
+import collections
 import functools
 import math
 import os
@@ -242,9 +243,16 @@ class RfModel:
 
 
 # Below this many rows x trees the forest grows in this process alone. A fork
-# costs about 7 ms at 60 MB RSS; on 2 cores, 20 trees broke even with two
-# workers at about 30-45 rows, 5 trees at about 100-150.
-FORK_MIN_ROW_TREES = 700
+# costs about 7 ms at 60 MB RSS; on 2 cores, with each process growing its
+# trees in lockstep, 20 trees broke even with two workers at about 40-50 rows,
+# 5 trees at about 150-200.
+FORK_MIN_ROW_TREES = 900
+
+# A lockstep step scores at most this many entries (a node's gathered entries
+# plus one zero stand-in per candidate) together, unless one node alone holds
+# more. Scoring takes about 200 bytes of scratch per entry. At or below 2**15,
+# a step's candidate keys fit in int16, which numpy sorts by radix.
+STEP_ENTRIES = 1 << 15
 
 
 def _usable_cpus() -> int:
@@ -272,6 +280,37 @@ def _entries(indptr: np.ndarray, ids: np.ndarray):
     return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
+def _renumber(arrays, sizes: list, trees: list) -> tuple:
+    """Packed arrays (feature, threshold, left, right, counts, roots) made of
+
+    parts laid end to end, part i holding sizes[i] nodes and trees[i] roots
+    numbered from 0: each part's nodes renumbered after those of the parts
+    before it.
+    """
+    feature, threshold, left, right, counts, roots = arrays
+    offsets = np.cumsum([0] + sizes[:-1])
+    node_offset = np.repeat(offsets, sizes)
+    left = np.where(left >= 0, left + node_offset, -1)  # -1 stays -1
+    right = np.where(right >= 0, right + node_offset, -1)
+    return feature, threshold, left, right, counts, roots + np.repeat(offsets, trees)
+
+
+@dataclass
+class _Search:
+    """A node to split: its tree (rng, stack, nodes), its record in the tree's
+
+    nodes, its sample rows, class totals and candidate features, and once
+    gathered, its entries.
+    """
+
+    tree: tuple
+    record: list
+    rows: np.ndarray
+    totals: np.ndarray
+    candidates: np.ndarray
+    entries: tuple | None = None
+
+
 class _TreeGrower:
     """Grows the trees of one forest from the training rows (CSR), their
 
@@ -296,35 +335,70 @@ class _TreeGrower:
         """The packed arrays (feature, threshold, left, right, counts, roots) of
 
         the given trees, nodes numbered from 0. Tree t's RNG stream derives
-        from (seed, t). Each tree grows from an explicit stack, left child
-        before right, so nodes are numbered and the RNG drawn in preorder.
+        from (seed, t). Each tree grows from its own explicit stack, left child
+        before right, so its nodes are numbered and its RNG drawn in preorder.
+        The trees grow in lockstep: each step takes the next node to split
+        from each tree in turn, while the step's entries stay within
+        STEP_ENTRIES, and scores them all at once.
         """
-        cfg, n, V, k = self.cfg, len(self.X), self.X.dimension, self.k
-        nodes, roots = [], []  # nodes: [feature, threshold, left, right, counts]
+        cfg, n = self.cfg, len(self.X)
+        forest, queue = [], collections.deque()  # queue: each unfinished tree's next _Search
         for t in trees:
             rng = np.random.default_rng([cfg.seed, t])
-            roots.append(len(nodes))
             sample = np.sort(rng.integers(0, n, size=n)) if cfg.bootstrap else np.arange(n)
-            stack = [(sample, None, 0)]  # (rows, the parent's node, 2 if left child else 3)
-            while stack:
-                rows, parent, side = stack.pop()
-                if parent is not None:
-                    parent[side] = len(nodes)
-                totals = np.bincount(self.labels[rows], minlength=k)
-                split = None
-                if np.count_nonzero(totals) > 1 and len(rows) >= 2 * cfg.min_samples_leaf:
-                    candidates = rng.choice(V, size=self.max_feats, replace=False)
-                    split = self._best_split(rows, totals, candidates)
-                if split is None:
-                    nodes.append([-1, 0.0, -1, -1, totals.astype(float)])
-                else:
-                    f, threshold, go_left = split
-                    nodes.append([f, threshold, -1, -1, np.zeros(k)])
-                    stack += [(rows[~go_left], nodes[-1], 3), (rows[go_left], nodes[-1], 2)]
-        feature, threshold, left, right, counts = zip(*nodes)
+            # (rng, stack of (rows, the parent's node, 2 if left child else 3), nodes)
+            tree = (rng, [(sample, None, 0)], [])
+            forest.append(tree[2])
+            queue.extend(self._next_search(tree))
+        while queue:
+            step, size = [], 0
+            while queue:
+                search = queue[0]
+                if search.entries is None:
+                    search.entries = self._gather(search.rows, search.candidates)
+                size += len(search.entries[0]) + self.max_feats
+                if step and size > STEP_ENTRIES:
+                    break
+                step.append(queue.popleft())
+            for search, split in zip(step, self._best_splits(step)):
+                if split is not None:
+                    (f, threshold, go_left), record, rows = split, search.record, search.rows
+                    record[0], record[1], record[4] = f, threshold, np.zeros(self.k)
+                    stack = search.tree[1]
+                    stack += [(rows[~go_left], record, 3), (rows[go_left], record, 2)]
+                queue.extend(self._next_search(search.tree))
+        # Each tree's nodes ([feature, threshold, left, right, counts]) follow the tree before.
+        feature, threshold, left, right, counts = zip(*(node for nodes in forest for node in nodes))
         index = lambda values: np.array(values, dtype=np.intp)
         threshold, counts = np.array(threshold, dtype=float), np.array(counts, dtype=float)
-        return index(feature), threshold, index(left), index(right), counts, index(roots)
+        arrays = index(feature), threshold, index(left), index(right), counts, index([0] * len(forest))
+        return _renumber(arrays, [len(nodes) for nodes in forest], [1] * len(forest))
+
+    def _next_search(self, tree) -> list:
+        """Number the tree's nodes up to the next one to split, leaves as they
+
+        are popped: [its _Search], or [] once the tree is grown.
+        """
+        rng, stack, nodes = tree
+        while stack:
+            rows, parent, side = stack.pop()
+            if parent is not None:
+                parent[side] = len(nodes)
+            totals = np.bincount(self.labels[rows], minlength=self.k)
+            nodes.append([-1, 0.0, -1, -1, totals.astype(float)])
+            if np.count_nonzero(totals) > 1 and len(rows) >= 2 * self.cfg.min_samples_leaf:
+                candidates = rng.choice(self.X.dimension, size=self.max_feats, replace=False)
+                return [_Search(tree, nodes[-1], rows, totals, candidates)]
+        return []
+
+    def _gather(self, rows, candidates):
+        """The candidates' entries in the node, from the node's rows or from the
+
+        candidates' columns, whichever holds fewer entries.
+        """
+        if self.col_nnz[candidates].sum() < self.row_nnz[rows].sum():
+            return self._column_entries(rows, candidates)
+        return self._row_entries(rows, candidates)
 
     def _row_entries(self, rows, candidates):
         """(candidate place, value, row, weight) of the candidates' entries in
@@ -353,60 +427,92 @@ class _TreeGrower:
         keep = np.flatnonzero(weight)
         return cand[keep], self.columns.data[pos[keep]], row[keep], weight[keep]
 
-    def _best_split(self, rows, totals, candidates):
-        """(feature, threshold, goes-left mask over rows) of least weighted Gini
+    def _best_splits(self, step: list) -> list:
+        """Each searched node's (feature, threshold, goes-left mask over its
 
-        impurity at the node holding samples `rows`, or None. Only the
-        candidates' nonzeros are read, from the node's rows or from the
-        candidates' columns, whichever holds fewer entries. Counts are
-        positive, so a candidate's samples sort into its zero segment, whose
-        class counts are the node's totals minus those of its nonzeros, then
-        one segment per distinct nonzero value. Every boundary is scored at
-        once; the first least one in (candidate, value) order wins.
+        rows) of least weighted Gini impurity, or None. Node i's candidate j is
+        g = i * F + j. Counts are positive, so each g's samples sort into its
+        zero segment, whose class counts are the node's totals minus those of
+        its nonzeros, then one segment per distinct nonzero value. Every
+        boundary of every node is scored at once, from running sums over each
+        g; in each node the first least one in (candidate, value) order wins.
         """
-        m, k, F, n = len(rows), self.k, len(candidates), len(self.X)
-        if self.col_nnz[candidates].sum() < self.row_nnz[rows].sum():
-            cand, value, owner, weight = self._column_entries(rows, candidates)
-        else:
-            cand, value, owner, weight = self._row_entries(rows, candidates)
-        # A zero-valued stand-in (owner n, of no class) heads each candidate's zero segment.
-        cand = np.concatenate([np.arange(F), cand])
-        value = np.concatenate([np.zeros(F), value])
-        owner = np.concatenate([np.full(F, n), owner])
-        order = np.lexsort((value, cand))
-        cand, value, owner = cand[order], value[order], owner[order]
-        if weight is not None:
-            weight = np.concatenate([np.ones(F, dtype=np.intp), weight])[order]
-        new = np.ones(len(cand), dtype=bool)
-        new[1:] = (cand[1:] != cand[:-1]) | (value[1:] != value[:-1])
+        N, F, k, n = len(step), self.max_feats, self.k, len(self.X)
+        G = N * F
+        cand, value, owner, weight = zip(*(search.entries for search in step))
+        sizes = [len(c) for c in cand]
+        totals = np.array([search.totals for search in step])  # (N, k)
+        # A zero-valued stand-in (owner n, of class k, weight 0) heads each g's entries.
+        g = np.repeat(np.arange(N) * F, sizes) + np.concatenate(cand)
+        g = np.concatenate([np.arange(G), g])
+        value = np.concatenate([np.zeros(G), *value])
+        owner = np.concatenate([np.full(G, n), *owner])
+        w = np.zeros(len(g), dtype=np.intp)
+        w[G:] = np.concatenate([np.ones(s, np.intp) if u is None else u for s, u in zip(sizes, weight)])
+        order = np.argsort(value, kind="stable")  # then by g, stably
+        g_key = g.astype(np.int16 if G <= 1 << 15 else np.intp)
+        order = order[np.argsort(g_key[order], kind="stable")]
+        g, value, owner, w = g[order], value[order], owner[order], w[order]
+        heads = np.flatnonzero(owner == n)  # each g's first entry, its stand-in
+        new = np.ones(len(g), dtype=bool)
+        new[1:] = (g[1:] != g[:-1]) | (value[1:] != value[:-1])
         first = np.flatnonzero(new)  # each segment's first entry
-        seg = np.cumsum(new) - 1  # each entry's segment
-        # Stand-ins count in column k, then dropped; weighted sums of integers are exact.
-        counts = np.bincount(seg * (k + 1) + self.labels[owner], weight, len(first) * (k + 1))
-        counts = counts.astype(np.intp, copy=False).reshape(-1, k + 1)[:, :k]
-        heads = seg[owner == n]
-        counts[heads] = totals - np.add.reduceat(counts, heads)
-        # A candidate's segments hold all m samples, so candidate j's sums start at j * totals.
+        last = np.append(first[1:], len(g)) - 1  # and its last
+        seg_g = g[first]
+        # Each g's class totals, and its zero segment's class counts (column k: stand-ins).
+        T = np.zeros((G, k + 1), dtype=np.intp)
+        T[:, :k] = np.repeat(totals, F, axis=0)
+        key = g * (k + 1) + self.labels[owner]
+        zero = T - np.bincount(key, w, G * (k + 1)).astype(np.intp).reshape(G, k + 1)
+        # L: the count of each entry's class left of it in its g, zero segment included,
+        # a running sum per (g, class).
+        by_class = np.argsort(key, kind="stable")
+        before = np.cumsum(w[by_class]) - w[by_class]
+        group = np.flatnonzero(np.diff(key[by_class], prepend=-1))
+        before -= np.repeat(before[group], np.diff(group, append=len(key)))
+        L = np.empty_like(before)
+        L[by_class] = before
+        L += zero.ravel()[key]
+        # At each segment's end, over its g: the samples on the left, the sum of their squared
+        # class counts, and that of their class counts times the totals. Sums of integers, so
+        # they equal the sums over the class counts on each side exactly.
+        def running(d):  # d summed over each g up to each segment's end (stand-ins add 0)
+            c = np.cumsum(d)
+            return c[last] - c[heads[seg_g]]
+
+        nl = zero.sum(axis=1)[seg_g] + running(w)
+        sq_left = (zero * zero).sum(axis=1)[seg_g] + running(w * (2 * L + w))
+        dot = (zero * T).sum(axis=1)[seg_g] + running(w * T.ravel()[key])
+        nr = totals.sum(axis=1)[seg_g // F] - nl
+        sq_right = (T * T).sum(axis=1)[seg_g] - 2 * dot + sq_left  # sum of (T - left)**2
         # An empty zero segment puts no sample on the left, so it is never a boundary.
-        left = np.cumsum(counts, axis=0) - cand[first, None] * totals
-        nl = left.sum(axis=1)
         min_leaf = self.cfg.min_samples_leaf
         boundary = np.flatnonzero(
-            (np.diff(cand[first]) == 0) & (nl[:-1] >= min_leaf) & (m - nl[:-1] >= min_leaf)
+            (np.diff(seg_g) == 0) & (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
         )
+        splits = [None] * N
         if boundary.size == 0:
-            return None
-        left, nl = left[boundary], nl[boundary]
-        right, nr = totals - left, m - nl
-        gini = lambda c, n: 1.0 - (c**2).sum(axis=1) / n**2
-        b = boundary[np.argmin((nl * gini(left, nl) + nr * gini(right, nr)) / (nl + nr))]
-        j, lo, hi = cand[first[b]], value[first[b]], value[first[b + 1]]
-        threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo  # may round up to hi if adjacent
-        rows_j = owner[cand == j]
-        self.x[rows_j] = value[cand == j]
-        go_left = self.x[rows] <= threshold
-        self.x[rows_j] = 0.0
-        return candidates[j], threshold, go_left
+            return splits
+        nl, nr = nl[boundary], nr[boundary]
+        sq_left, sq_right = sq_left[boundary], sq_right[boundary]
+        gini = lambda sq, n: 1.0 - sq / n**2
+        impurity = (nl * gini(sq_left, nl) + nr * gini(sq_right, nr)) / (nl + nr)
+        node = seg_g[boundary] // F
+        starts = np.flatnonzero(np.diff(node, prepend=-1))  # each node's first boundary
+        least = np.minimum.reduceat(impurity, starts)
+        hits = np.flatnonzero(impurity == np.repeat(least, np.diff(starts, append=len(node))))
+        best = boundary[hits[np.diff(node[hits], prepend=-1) != 0]]  # each node's first least
+        lo, hi = value[first[best]], value[first[best + 1]]
+        mid = (lo + hi) / 2.0
+        thresholds = np.where(mid < hi, mid, lo)  # the midpoint may round up to hi if adjacent
+        ends = np.append(heads[1:], len(g))
+        for gb, threshold in zip(seg_g[best], thresholds):
+            (i, j), entries = divmod(gb, F), slice(heads[gb], ends[gb])
+            self.x[owner[entries]] = value[entries]
+            go_left = self.x[step[i].rows] <= threshold
+            self.x[owner[entries]] = 0.0
+            splits[i] = (step[i].candidates[j], threshold, go_left)
+        return splits
 
 
 def _fork_worker(grower: _TreeGrower, trees) -> tuple:
@@ -499,16 +605,10 @@ def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     workers = _worker_count(cfg.n_trees, len(y))
     shares = np.array_split(np.arange(cfg.n_trees), workers)
     parts = _grow_in_workers(grower, shares) if workers > 1 else [grower.grow(shares[0])]
-    feature, threshold, left, right, counts, roots = map(np.concatenate, zip(*parts))
-    # Renumber each share's nodes after those of the shares before it; -1 stays -1.
+    arrays = map(np.concatenate, zip(*parts))
     sizes = [len(part[0]) for part in parts]
-    offsets = np.cumsum([0] + sizes[:-1])
-    node_offset = np.repeat(offsets, sizes)
-    left = np.where(left >= 0, left + node_offset, -1)
-    right = np.where(right >= 0, right + node_offset, -1)
-    roots = roots + np.repeat(offsets, [len(share) for share in shares])
     k = dataset.num_classes
-    return RfModel(dataset.dimension, k, feature, threshold, left, right, counts, roots)
+    return RfModel(dataset.dimension, k, *_renumber(arrays, sizes, [len(s) for s in shares]))
 
 
 @_batched

@@ -12,6 +12,7 @@ from emojivote.cli import main
 from emojivote.ensemble import build_meta
 from emojivote.exceptions import (
     ArchiveChecksumError,
+    ArchiveError,
     ArchiveTruncatedError,
     ArchiveVersionError,
 )
@@ -143,3 +144,60 @@ class TestCorruption:
         path.write_bytes(b"EMOV")
         with pytest.raises(ArchiveTruncatedError):
             archive_load(path)
+
+
+def write_sections(path, header, vocabulary, model):
+    """A well-checksummed archive of the current version holding these raw sections."""
+    body = MAGIC + bytes([FORMAT_VERSION])
+    for payload in (header, vocabulary, model):
+        body += struct.pack("<Q", len(payload)) + payload
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def json_header(**changes) -> bytes:
+    header = {"language": "en", "policy": AsciiPolicy.KEEP_MOST.value, "metadata": {}}
+    header.update(changes)
+    return json.dumps({key: value for key, value in header.items() if value is not None}).encode()
+
+
+MALFORMED = {  # name: (header, vocabulary, model); None keeps the trained archive's section
+    "header not JSON": (b"{not json", None, None),
+    "header not UTF-8": (b"\xff\xfe{}", None, None),
+    "header not an object": (b'"language policy metadata"', None, None),
+    "header without language": (json_header(language=None), None, None),
+    "header without policy": (json_header(policy=None), None, None),
+    "unknown policy": (json_header(policy="drop-everything"), None, None),
+    "vocabulary does not unpickle": (None, b"not a pickle", None),
+    "model pickle cut short": (None, None, pickle.dumps({"a": 1}, protocol=4)[:-3]),
+    "model pickle of a missing class": (None, None, b"\x80\x04cemojivote.ensemble\nNoSuchSpec\n."),
+    "model of another type": (None, None, pickle.dumps({"not": "a model"}, protocol=4)),
+}
+
+
+class TestMalformedSections:
+    """Well-checksummed archives whose sections are malformed raise ArchiveError."""
+
+    def sections(self, trained_archive, header, vocabulary, model):
+        return (
+            header or json_header(),
+            vocabulary or pickle.dumps(trained_archive.vocabulary, protocol=4),
+            model or pickle.dumps(trained_archive.model, protocol=4),
+        )
+
+    def test_well_formed_sections_load(self, trained_archive, tmp_path):
+        write_sections(tmp_path / "m.bin", *self.sections(trained_archive, None, None, None))
+        assert archive_load(tmp_path / "m.bin").policy is AsciiPolicy.KEEP_MOST
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_raises_archive_error(self, trained_archive, tmp_path, kind):
+        write_sections(tmp_path / "m.bin", *self.sections(trained_archive, *MALFORMED[kind]))
+        with pytest.raises(ArchiveError):
+            archive_load(tmp_path / "m.bin")
+
+    def test_predict_exits_2(self, trained_archive, tmp_path, capsys):
+        malformed = self.sections(trained_archive, *MALFORMED["header not JSON"])
+        write_sections(tmp_path / "m.bin", *malformed)
+        text = tmp_path / "t.txt"
+        text.write_text("w1 w2\n")
+        assert main(["predict", str(tmp_path / "m.bin"), str(text)]) == 2
+        assert "internal error" not in capsys.readouterr().err

@@ -275,6 +275,64 @@ class TestEveryPath:
         assert_same_forest(model, oracle_fit(dataset, cfg))
 
 
+def record_steps(mp, steps: list):
+    """Append (the trees of its nodes, its entries) for every step scored from now on."""
+    best_splits = classifiers._TreeGrower._best_splits
+
+    def recording(self, step):
+        size = sum(len(search.entries[0]) + self.max_feats for search in step)
+        steps.append(([id(search.tree) for search in step], size))
+        return best_splits(self, step)
+
+    mp.setattr(classifiers._TreeGrower, "_best_splits", recording)
+
+
+class TestLockstep:
+    """Trees grown in lockstep equal the oracle's at any step cap, and a step
+
+    holds more entries than the cap only when it holds a single node.
+    """
+
+    @pytest.mark.parametrize("gather", ["rows", "columns"])
+    @pytest.mark.parametrize("cap", ["one node", 50, "every tree"])
+    @settings(max_examples=25, deadline=None)
+    @given(case=forest_cases(), n_trees=st.sampled_from([1, 2, 3, 20]))
+    def test_small_datasets(self, gather, cap, case, n_trees):
+        dataset, cfg = case
+        cfg = dataclasses.replace(cfg, n_trees=n_trees)
+        limit = {"one node": 0, "every tree": 2**62}.get(cap, cap)
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, gather, workers=1)
+            mp.setattr(classifiers, "STEP_ENTRIES", limit)
+            record_steps(mp, steps)
+            model = rf_fit(dataset, cfg)
+        assert_same_forest(model, oracle_fit(dataset, cfg))
+        for trees, size in steps:
+            assert len(set(trees)) == len(trees)  # at most one node of each tree
+            assert size <= limit or len(trees) == 1
+        if cap == "one node":
+            assert all(len(trees) == 1 for trees, _ in steps)
+        if cap == "every tree":  # a tree leaves the steps only once it is grown
+            assert all(set(a) >= set(b) for (a, _), (b, _) in zip(steps, steps[1:]))
+
+    def test_steps_past_int16_candidate_keys(self):
+        # 20 nodes of 2,000 candidates each: candidate keys past 2**15 in one step.
+        rng = np.random.default_rng(4)
+        dense = rng.integers(0, 3, size=(40, 2000)) * (rng.random((40, 2000)) < 0.01)
+        d = dataset_from_dense(dense.astype(float), [int(v) for v in rng.integers(0, 3, 40)], 3)
+        cfg = RfConfig(n_trees=20, max_features=2000, seed=9)
+        forests, steps = [], []
+        for limit in (0, 2**62):
+            with pytest.MonkeyPatch.context() as mp:
+                force(mp, workers=1)
+                mp.setattr(classifiers, "STEP_ENTRIES", limit)
+                record_steps(mp, steps)
+                forests.append(rf_fit(d, cfg))
+        assert max(len(trees) for trees, _ in steps) * 2000 > 2**15
+        assert_same_forest(*forests)
+
+
 def record_forks(monkeypatch) -> list[int]:
     """The pids of the children os.fork makes from now on."""
     pids, fork = [], os.fork
