@@ -36,7 +36,6 @@ from .ensemble import (
 from .features import (
     FeatureConfig,
     LabeledDataset,
-    SparseCountVector,
     Vocabulary,
     build_vocabulary,
     text_to_vector,

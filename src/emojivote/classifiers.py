@@ -16,20 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import CsrMatrix, LabeledDataset, SparseCountVector
+from .features import CsrMatrix, LabeledDataset
 
 
 def _batched(predict_proba):
-    """Check a batch's dimension; run a lone SparseCountVector as a batch of one."""
+    """Check that a batch's dimension is the model's."""
 
     @functools.wraps(predict_proba)
     def wrapper(model, X):
-        single = isinstance(X, SparseCountVector)
-        X = CsrMatrix.from_rows([X], X.dimension) if single else X
         if X.dimension != model.dimension:
             raise ValueError(f"input dimension {X.dimension} != model dimension {model.dimension}")
-        probs = predict_proba(model, X)
-        return probs[0] if single else probs
+        return predict_proba(model, X)
 
     return wrapper
 
@@ -71,13 +68,11 @@ def mnb_fit(dataset: LabeledDataset, cfg: MnbConfig = MnbConfig()) -> MnbModel:
         raise ValueError("cannot fit naive Bayes on an empty dataset")
     if dataset.dimension < 1:
         raise ValueError("naive Bayes needs at least one feature")
-    k, V = dataset.num_classes, dataset.dimension
-    X = CsrMatrix.from_rows(dataset.rows, V)
-    y = np.asarray(dataset.labels, dtype=np.intp)
+    k, V, y = dataset.num_classes, dataset.dimension, dataset.labels
     class_counts = np.bincount(y, minlength=k)
     feature_counts = np.zeros((k, V))
     # add.at adds in entry order, so every sum is the row-by-row loop's
-    np.add.at(feature_counts, (y[X.row_ids()], X.indices), X.data)
+    np.add.at(feature_counts, (y[dataset.row_ids()], dataset.indices), dataset.data)
     with np.errstate(divide="ignore"):
         log_priors = np.log(class_counts / len(dataset))
     totals = feature_counts.sum(axis=1, keepdims=True)
@@ -161,13 +156,12 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit logistic regression on an empty dataset")
-    if len(set(dataset.labels)) < 2:
+    if len(np.unique(dataset.labels)) < 2:
         raise ValueError("logistic regression needs at least 2 distinct labels")
     n, V, k, lam = len(dataset), dataset.dimension, dataset.num_classes, cfg.l2_strength
-    rows = CsrMatrix.from_rows(dataset.rows, V)
     X = np.zeros((n, V))
-    X[rows.row_ids(), rows.indices] = rows.data
-    Y = (np.asarray(dataset.labels)[:, None] == np.arange(k)).astype(float)
+    X[dataset.row_ids(), dataset.indices] = dataset.data
+    Y = (dataset.labels[:, None] == np.arange(k)).astype(float)
     W, b = np.zeros((V, k)), np.zeros(k)
     obj = lr_objective(W, b, X, Y, lam)
     active = np.arange(k)  # the classes still descending
@@ -599,10 +593,8 @@ def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a random forest on an empty dataset")
-    X = CsrMatrix.from_rows(dataset.rows, dataset.dimension)
-    y = np.asarray(dataset.labels, dtype=np.intp)
-    grower = _TreeGrower(X, y, dataset.num_classes, cfg)
-    workers = _worker_count(cfg.n_trees, len(y))
+    grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg)
+    workers = _worker_count(cfg.n_trees, len(dataset))
     shares = np.array_split(np.arange(cfg.n_trees), workers)
     parts = _grow_in_workers(grower, shares) if workers > 1 else [grower.grow(shares[0])]
     arrays = map(np.concatenate, zip(*parts))

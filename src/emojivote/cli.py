@@ -23,12 +23,13 @@ from .corpus import (
     load_mapping,
 )
 from .ensemble import (
+    BASE_MEMBER_ORDER,
     LANGUAGE_BASE_WEIGHTS,
     LANGUAGE_META_WEIGHTS,
     build_meta,
 )
 from .exceptions import ArchiveError, DataError
-from .features import CsrMatrix, FeatureConfig, text_to_vector, vectorize_corpus
+from .features import FeatureConfig, text_to_vector, vectorize_corpus
 from .metrics import confusion, evaluate, report_render
 from .preprocess import AsciiPolicy
 from .resample import SmoteConfig, plan_resample, smote
@@ -133,7 +134,7 @@ def _select(model, selector: str):
         return model
     if selector in ("ensemble1", "ensemble2"):
         return getattr(model, selector)
-    return model.ensemble1.members[("mnb", "lr", "rf").index(selector)]
+    return model.ensemble1.members[BASE_MEMBER_ORDER.index(selector)]
 
 
 def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
@@ -141,8 +142,7 @@ def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
     predictor = _select(ar.model, selector)
     for start in range(0, len(texts), PREDICT_CHUNK):
         chunk = texts[start : start + PREDICT_CHUNK]
-        rows = [text_to_vector(t, ar.policy, ar.vocabulary) for t in chunk]
-        yield predictor.predict_proba(CsrMatrix.from_rows(rows, ar.vocabulary.size))
+        yield predictor.predict_proba(text_to_vector(chunk, ar.policy, ar.vocabulary))
 
 
 def _predict_labels(ar: ModelArchive, texts: list[str], selector: str) -> list[int]:

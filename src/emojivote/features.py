@@ -1,8 +1,8 @@
-"""N-gram vocabulary with document-frequency cutoff and sparse count vectors."""
+"""N-gram vocabulary with document-frequency cutoff and sparse count rows."""
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -13,8 +13,6 @@ from .preprocess import AsciiPolicy, extract_ngrams, normalize, tokenize
 @dataclass(frozen=True)
 class FeatureConfig:
     min_df: int = 5
-    use_unigrams: bool = True
-    use_bigrams: bool = True
 
     def __post_init__(self):
         if self.min_df < 1:
@@ -31,37 +29,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.index_to_feature)
-
-
-@dataclass(frozen=True)
-class SparseCountVector:
-    """Sorted (index, count) pairs; zero entries omitted. Counts may be
-
-    fractional (SMOTE output interpolates between integer count vectors).
-    """
-
-    entries: tuple[tuple[int, float], ...]
-    dimension: int
-
-    def __post_init__(self):
-        prev = -1
-        for idx, cnt in self.entries:
-            if idx <= prev or idx >= self.dimension:
-                raise ValueError("entry indices must be strictly increasing and < dimension")
-            if not cnt > 0:
-                raise ValueError("entry counts must be positive")
-            prev = idx
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        for idx, cnt in self.entries:
-            out[idx] = cnt
-        return out
-
-    @classmethod
-    def from_dense(cls, arr) -> "SparseCountVector":
-        entries = tuple((int(i), float(v)) for i, v in enumerate(arr) if v != 0)
-        return cls(entries=entries, dimension=len(arr))
 
 
 @dataclass(frozen=True)
@@ -115,34 +82,26 @@ class CsrMatrix:
         np.cumsum(np.bincount(self.indices, minlength=self.dimension), out=indptr[1:])
         return CsrMatrix(indptr, self.row_ids()[order], self.data[order], len(self))
 
-    @classmethod
-    def from_rows(cls, rows: list[SparseCountVector], dimension: int) -> "CsrMatrix":
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum([len(r.entries) for r in rows], out=indptr[1:])
-        flat = chain.from_iterable(chain.from_iterable(r.entries for r in rows))
-        pairs = np.fromiter(flat, dtype=float, count=2 * indptr[-1])  # index, count, ...
-        return cls(indptr, pairs[0::2].astype(np.intp), pairs[1::2].copy(), dimension)
-
 
 @dataclass(frozen=True)
-class LabeledDataset:
-    rows: list[SparseCountVector]
-    labels: list[int]
+class LabeledDataset(CsrMatrix):
+    """Training rows with a class label each. Counts are positive and finite
+
+    (the forest's split search relies on it); they may be fractional, as
+    SMOTE interpolates between integer count rows.
+    """
+
+    labels: np.ndarray  # (n,) intp, each in [0, num_classes)
     num_classes: int
-    dimension: int
 
     def __post_init__(self):
-        if len(self.rows) != len(self.labels):
+        super().__post_init__()
+        if len(self.labels) != len(self):
             raise ValueError("rows and labels must have equal length")
-        for row in self.rows:
-            if row.dimension != self.dimension:
-                raise ValueError("row dimension mismatch")
-        for lab in self.labels:
-            if not 0 <= lab < self.num_classes:
-                raise ValueError(f"label {lab} out of range")
-
-    def __len__(self) -> int:
-        return len(self.rows)
+        if not np.all((0 <= self.labels) & (self.labels < self.num_classes)):
+            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        if not np.all((0 < self.data) & (self.data < np.inf)):
+            raise ValueError("entry counts must be positive and finite")
 
 
 def _is_bigram(feature: str) -> bool:
@@ -154,48 +113,49 @@ def build_vocabulary(bags: list[Counter], cfg: FeatureConfig) -> Vocabulary:
     df: Counter = Counter()
     for bag in bags:
         df.update(set(bag))
-    kept = []
-    for feat, n in df.items():
-        if n < cfg.min_df:
-            continue
-        if _is_bigram(feat):
-            if cfg.use_bigrams:
-                kept.append(feat)
-        elif cfg.use_unigrams:
-            kept.append(feat)
-    kept.sort()
+    kept = sorted(feat for feat, n in df.items() if n >= cfg.min_df)
+    num_bigrams = sum(1 for f in kept if _is_bigram(f))
     return Vocabulary(
         index_to_feature=kept,
         feature_to_index={f: i for i, f in enumerate(kept)},
-        num_unigrams=sum(1 for f in kept if not _is_bigram(f)),
-        num_bigrams=sum(1 for f in kept if _is_bigram(f)),
+        num_unigrams=len(kept) - num_bigrams,
+        num_bigrams=num_bigrams,
     )
 
 
-def vectorize(bag: Counter, vocab: Vocabulary) -> SparseCountVector:
-    """Count vector of the bag over the vocabulary; OOV grams ignored."""
-    entries = sorted(
-        (vocab.feature_to_index[f], float(c)) for f, c in bag.items() if f in vocab.feature_to_index
-    )
-    return SparseCountVector(entries=tuple(entries), dimension=vocab.size)
+def vectorize(bags: list[Counter], vocab: Vocabulary) -> CsrMatrix:
+    """One count row per bag over the vocabulary; OOV grams ignored."""
+    n, grams = len(bags), sum(map(len, bags))
+    lookup = map(vocab.feature_to_index.get, chain.from_iterable(bags), repeat(-1))
+    columns = np.fromiter(lookup, np.intp, grams)
+    counts = np.fromiter(chain.from_iterable(map(dict.values, bags)), float, grams)
+    rows = np.repeat(np.arange(n), np.fromiter(map(len, bags), np.intp, n))
+    kept = columns >= 0
+    rows, columns, counts = rows[kept], columns[kept], counts[kept]
+    order = np.argsort(rows * vocab.size + columns)  # keys are unique: by row, then column
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CsrMatrix(indptr, columns[order], counts[order], vocab.size)
 
 
-def corpus_ngram_bags(corpus: RawCorpus, policy: AsciiPolicy) -> list[Counter]:
-    return [extract_ngrams(tokenize(normalize(t, policy))) for t in corpus.texts]
+def ngram_bags(texts: list[str], policy: AsciiPolicy) -> list[Counter]:
+    return [extract_ngrams(tokenize(normalize(t, policy))) for t in texts]
 
 
 def vectorize_corpus(
     corpus: RawCorpus, policy: AsciiPolicy, cfg: FeatureConfig
 ) -> tuple[Vocabulary, LabeledDataset]:
-    """Full text pipeline: normalize, tokenize, n-grams, vocabulary, count vectors."""
-    bags = corpus_ngram_bags(corpus, policy)
+    """Full text pipeline: normalize, tokenize, n-grams, vocabulary, count rows."""
+    bags = ngram_bags(corpus.texts, policy)
     vocab = build_vocabulary(bags, cfg)
-    rows = [vectorize(bag, vocab) for bag in bags]
-    return vocab, LabeledDataset(
-        rows=rows, labels=list(corpus.labels), num_classes=corpus.num_classes, dimension=vocab.size
-    )
+    X = vectorize(bags, vocab)
+    labels, k = np.asarray(corpus.labels, dtype=np.intp), corpus.num_classes
+    return vocab, LabeledDataset(X.indptr, X.indices, X.data, X.dimension, labels, k)
 
 
-def text_to_vector(text: str, policy: AsciiPolicy, vocab: Vocabulary) -> SparseCountVector:
-    """Vectorize a single raw tweet against a fixed vocabulary."""
-    return vectorize(extract_ngrams(tokenize(normalize(text, policy))), vocab)
+def text_to_vector(texts: list[str] | str, policy: AsciiPolicy, vocab: Vocabulary) -> CsrMatrix:
+    """Vectorize raw tweets against a fixed vocabulary, one row each; a lone
+
+    string is a batch of one.
+    """
+    return vectorize(ngram_bags([texts] if isinstance(texts, str) else texts, policy), vocab)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError
-from .features import CsrMatrix, LabeledDataset, SparseCountVector
+from .features import CsrMatrix, LabeledDataset
 
 # Rows per k-NN block: each block's scratch arrays hold KNN_BLOCK x class
 # size distances, so memory stays bounded however large a class grows.
@@ -38,9 +38,7 @@ class ResamplePlan:
 
 def plan_resample(dataset: LabeledDataset) -> ResamplePlan:
     """Per-class synthesis quota so every class reaches the majority count."""
-    counts = [0] * dataset.num_classes
-    for lab in dataset.labels:
-        counts[lab] += 1
+    counts = np.bincount(dataset.labels, minlength=dataset.num_classes).tolist()
     for c, n in enumerate(counts):
         if n == 0:
             raise DataError(f"class {c} has no instances; cannot plan oversampling")
@@ -88,7 +86,7 @@ def nearest_neighbors(points: CsrMatrix, k: int) -> list[list[int]]:
 
 def _interpolate(
     points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray, gaps: np.ndarray
-) -> list[SparseCountVector]:
+) -> CsrMatrix:
     """Row t is x + gaps[t] * (nn - x), x and nn the rows parents[t] and
 
     neighbors[t] of points, computed on the union of their nonzeros (it is
@@ -104,12 +102,8 @@ def _interpolate(
     row, index = np.divmod(union, V)
     values = x + gaps[row] * (nn - x)
     keep = values != 0
-    bounds = np.searchsorted(row[keep], np.arange(len(parents) + 1)).tolist()
-    index, values = index[keep].tolist(), values[keep].tolist()
-    return [
-        SparseCountVector(tuple(zip(index[a:b], values[a:b])), V)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    indptr = np.searchsorted(row[keep], np.arange(len(parents) + 1))
+    return CsrMatrix(indptr, index[keep], values[keep], V)
 
 
 def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledDataset:
@@ -123,20 +117,19 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
     then g for one synthetic row after another.
     """
     plan = plan_resample(dataset)
-    rows = list(dataset.rows)
-    labels = list(dataset.labels)
+    parts, labels = [dataset], [dataset.labels]
     for c in range(dataset.num_classes):
         quota = plan.synthetic_counts[c]
         if quota == 0:
             continue
-        member_idx = [i for i, lab in enumerate(dataset.labels) if lab == c]
-        n_c = len(member_idx)
+        members = np.flatnonzero(dataset.labels == c)
+        n_c = len(members)
         rng = np.random.default_rng([cfg.seed, c])
+        labels.append(np.full(quota, c, dtype=np.intp))
         if n_c == 1:
-            rows.extend([dataset.rows[member_idx[0]]] * quota)
-            labels.extend([c] * quota)
+            parts.append(dataset.take(np.repeat(members, quota)))
             continue
-        points = CsrMatrix.from_rows([dataset.rows[i] for i in member_idx], dataset.dimension)
+        points = dataset.take(members)
         knn = nearest_neighbors(points, min(cfg.k_neighbors, n_c - 1))
         neighbors = np.empty(quota, dtype=np.intp)
         gaps = np.empty(quota)
@@ -144,8 +137,11 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
             candidates = knn[s % n_c]
             neighbors[s] = candidates[rng.integers(len(candidates))]
             gaps[s] = rng.random()
-        rows.extend(_interpolate(points, np.arange(quota) % n_c, neighbors, gaps))
-        labels.extend([c] * quota)
+        parts.append(_interpolate(points, np.arange(quota) % n_c, neighbors, gaps))
+    indptr = np.zeros(sum(map(len, parts)) + 1, dtype=np.intp)
+    np.cumsum(np.concatenate([np.diff(p.indptr) for p in parts]), out=indptr[1:])
+    indices = np.concatenate([p.indices for p in parts])
+    data = np.concatenate([p.data for p in parts])
     return LabeledDataset(
-        rows=rows, labels=labels, num_classes=dataset.num_classes, dimension=dataset.dimension
+        indptr, indices, data, dataset.dimension, np.concatenate(labels), dataset.num_classes
     )

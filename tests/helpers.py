@@ -1,32 +1,61 @@
 """Shared builders for tests: dense/sparse conversion and synthetic corpora."""
 
+import dataclasses
+
 import numpy as np
 
 from emojivote.corpus import RawCorpus
-from emojivote.features import CsrMatrix, LabeledDataset, SparseCountVector
+from emojivote.features import CsrMatrix, LabeledDataset
 
 SKEW_FRACTIONS = [0.6, 0.2, 0.1, 0.06, 0.04]
 ACCENTS = ["á", "é", "í"]
 
 
-def dataset_from_dense(X, labels, num_classes) -> LabeledDataset:
-    rows = [SparseCountVector.from_dense(r) for r in np.asarray(X, dtype=float)]
-    return LabeledDataset(
-        rows=rows, labels=list(labels), num_classes=num_classes, dimension=X.shape[1]
-    )
-
-
-def dataset_to_dense(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    X = np.zeros((len(dataset.rows), dataset.dimension))
-    for i, row in enumerate(dataset.rows):
-        for idx, cnt in row.entries:
-            X[i, idx] = cnt
-    return X, np.asarray(dataset.labels, dtype=np.intp)
+def csr_from_rows(rows, dimension) -> CsrMatrix:
+    """A batch from rows of (index, count) pairs, each row in index order."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    pairs = [p for r in rows for p in r]
+    indices = np.array([i for i, _ in pairs], dtype=np.intp)
+    return CsrMatrix(indptr, indices, np.array([c for _, c in pairs], dtype=float), dimension)
 
 
 def csr_from_dense(X) -> CsrMatrix:
     X = np.asarray(X, dtype=float)
-    return CsrMatrix.from_rows([SparseCountVector.from_dense(r) for r in X], X.shape[1])
+    rows, columns = np.nonzero(X)
+    indptr = np.zeros(len(X) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=len(X)), out=indptr[1:])
+    return CsrMatrix(indptr, columns, X[rows, columns], X.shape[1])
+
+
+def with_labels(X: CsrMatrix, labels, num_classes) -> LabeledDataset:
+    labels = np.asarray(labels, dtype=np.intp)
+    return LabeledDataset(X.indptr, X.indices, X.data, X.dimension, labels, num_classes)
+
+
+def dataset_from_dense(X, labels, num_classes) -> LabeledDataset:
+    return with_labels(csr_from_dense(X), labels, num_classes)
+
+
+def to_dense(X: CsrMatrix) -> np.ndarray:
+    out = np.zeros((len(X), X.dimension))
+    out[X.row_ids(), X.indices] = X.data
+    return out
+
+
+def dataset_to_dense(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    return to_dense(dataset), dataset.labels
+
+
+def same(a: CsrMatrix, b: CsrMatrix) -> bool:
+    """Field-by-field equality of two batches or two datasets."""
+    fields = [f.name for f in dataclasses.fields(a)]
+    return type(a) is type(b) and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+def rows_of(X: CsrMatrix) -> list[tuple[tuple[int, float], ...]]:
+    """Each row's (index, count) pairs, in index order."""
+    pairs = list(zip(X.indices.tolist(), X.data.tolist()))
+    return [tuple(pairs[a:b]) for a, b in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())]
 
 
 def skewed_corpus(n: int, seed: int) -> RawCorpus:

@@ -8,8 +8,10 @@ from dense, so it only suits small data.
 
 import numpy as np
 
-from emojivote.features import LabeledDataset, SparseCountVector
+from emojivote.features import LabeledDataset
 from emojivote.resample import SmoteConfig, plan_resample
+
+from helpers import dataset_from_dense, dataset_to_dense
 
 
 def nearest_neighbors(points: np.ndarray, k: int) -> list[list[int]]:
@@ -37,8 +39,9 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
     an RNG stream derived from (seed, class index).
     """
     plan = plan_resample(dataset)
-    rows = list(dataset.rows)
-    labels = list(dataset.labels)
+    dense, labels = dataset_to_dense(dataset)
+    rows = list(dense)
+    labels = list(labels)
     for c in range(dataset.num_classes):
         quota = plan.synthetic_counts[c]
         if quota == 0:
@@ -47,18 +50,17 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
         n_c = len(member_idx)
         rng = np.random.default_rng([cfg.seed, c])
         if n_c == 1:
-            rows.extend([dataset.rows[member_idx[0]]] * quota)
+            rows.extend([dense[member_idx[0]]] * quota)
             labels.extend([c] * quota)
             continue
-        points = np.stack([dataset.rows[i].to_dense() for i in member_idx])
+        points = np.stack([dense[i] for i in member_idx])
         knn = nearest_neighbors(points, min(cfg.k_neighbors, n_c - 1))
         for s in range(quota):
             parent = s % n_c
             neighbor = knn[parent][rng.integers(len(knn[parent]))]
             g = rng.random()
             synth = points[parent] + g * (points[neighbor] - points[parent])
-            rows.append(SparseCountVector.from_dense(synth))
+            rows.append(synth)
             labels.append(c)
-    return LabeledDataset(
-        rows=rows, labels=labels, num_classes=dataset.num_classes, dimension=dataset.dimension
-    )
+    X = np.reshape(rows, (len(rows), dataset.dimension))
+    return dataset_from_dense(X, labels, dataset.num_classes)

@@ -21,7 +21,6 @@ from emojivote.classifiers import (
 from emojivote.ensemble import build_meta, vote_proba
 from emojivote.features import (
     FeatureConfig,
-    SparseCountVector,
     text_to_vector,
     vectorize_corpus,
 )
@@ -29,7 +28,7 @@ from emojivote.metrics import confusion, evaluate
 from emojivote.preprocess import AsciiPolicy, extract_ngrams, tokenize
 from emojivote.resample import ResamplePlan, SmoteConfig, nearest_neighbors, smote
 
-from helpers import accent_corpus, csr_from_dense, dataset_from_dense, skewed_corpus
+from helpers import accent_corpus, csr_from_dense, dataset_from_dense, rows_of, skewed_corpus, to_dense
 from test_classifiers_mnb import all_multisets, oracle_posterior
 from test_metrics import oracle_metrics
 
@@ -59,7 +58,7 @@ def test_mnb_oracle_suite():
             dataset = dataset_from_dense(np.array([d0, d1]), [0, 1], 2)
             model = mnb_fit(dataset, MnbConfig(alpha=0.5))
             for x in docs:
-                got = mnb_predict_proba(model, SparseCountVector.from_dense(np.array(x)))
+                got = mnb_predict_proba(model, csr_from_dense([x]))[0]
                 want = np.array(oracle_posterior([d0, d1], [0, 1], x, 0.5, 3, 2))
                 worst = max(worst, float(np.abs(got - want).max()))
                 if np.ptp(want) > 1e-9:  # skip argmax check on exact ties
@@ -156,16 +155,15 @@ def test_smote_properties():
         d = dataset_from_dense(X, labels, 4)
         out = smote(d, SmoteConfig(seed=seed))
         # exact class balance
-        got = [out.labels.count(c) for c in range(4)]
+        got = [out.labels.tolist().count(c) for c in range(4)]
         assert got == [40, 40, 40, 40]
         # originals preserved verbatim as prefix
-        assert out.rows[: len(d)] == d.rows
-        assert out.labels[: len(d)] == d.labels
+        assert rows_of(out)[: len(d)] == rows_of(d)
+        assert out.labels[: len(d)].tolist() == d.labels.tolist()
         # nonnegativity + componentwise convexity within the class hull
-        for row, lab in zip(out.rows[len(d):], out.labels[len(d):]):
-            dense = row.to_dense()
+        for dense, lab in zip(to_dense(out)[len(d):], out.labels[len(d):]):
             assert np.all(dense >= 0)
-            members = np.stack([r.to_dense() for r, l in zip(d.rows, d.labels) if l == lab])
+            members = np.stack([r for r, l in zip(to_dense(d), d.labels) if l == lab])
             assert np.all(dense >= members.min(axis=0) - 1e-12)
             assert np.all(dense <= members.max(axis=0) + 1e-12)
     # brute-force k-NN agreement on <= 50-point sets
@@ -200,9 +198,7 @@ def test_directional_oversampling_tradeoff():
     )
     results = {}
     for name, model in (("ensemble1", meta.ensemble1), ("ensemble2", meta.ensemble2)):
-        preds = [
-            model.predict(text_to_vector(t, AsciiPolicy.KEEP_MOST, vocab)) for t in test.texts
-        ]
+        preds = model.predict(text_to_vector(test.texts, AsciiPolicy.KEEP_MOST, vocab)).tolist()
         r = evaluate(confusion(test.labels, preds, 5))
         rare_recall = (r.per_class[3].recall + r.per_class[4].recall) / 2
         results[name] = (r.accuracy, rare_recall)
@@ -234,7 +230,7 @@ def test_directional_ascii_policy():
             lr_cfg=LrConfig(l2_strength=0.01, max_iters=300),
             rf_cfg=RfConfig(seed=0),
         )
-        preds = [meta.predict(text_to_vector(t, policy, vocab)) for t in test.texts]
+        preds = meta.predict(text_to_vector(test.texts, policy, vocab)).tolist()
         scores[policy] = evaluate(confusion(test.labels, preds, 3)).macro_f1
     keep, strip = scores[AsciiPolicy.KEEP_MOST], scores[AsciiPolicy.STRIP_ALL]
     assert keep > strip, f"macro-F1 keep-most {keep:.3f} <= strip-all {strip:.3f}"
@@ -264,15 +260,15 @@ def test_end_to_end_determinism_and_round_trip(tmp_path):
 
     held_out = [" ".join(rng.choice(words, size=4)) for _ in range(50)]
     a, b = train_once(), train_once()
-    preds_a = [a.model.predict(text_to_vector(t, a.policy, a.vocabulary)) for t in held_out]
-    preds_b = [b.model.predict(text_to_vector(t, b.policy, b.vocabulary)) for t in held_out]
+    preds_a = a.model.predict(text_to_vector(held_out, a.policy, a.vocabulary)).tolist()
+    preds_b = b.model.predict(text_to_vector(held_out, b.policy, b.vocabulary)).tolist()
     assert preds_a == preds_b
 
     path = tmp_path / "model.bin"
     archive_save(a, path)
     loaded = archive_load(path)
     for t in held_out:
-        x = text_to_vector(t, loaded.policy, loaded.vocabulary)
+        x = text_to_vector([t], loaded.policy, loaded.vocabulary)
         assert np.array_equal(loaded.model.predict_proba(x), a.model.predict_proba(x))
     _ok("end-to-end determinism and archive round-trip: identical predictions")
 

@@ -16,10 +16,12 @@ from emojivote.exceptions import (
     ArchiveTruncatedError,
     ArchiveVersionError,
 )
-from emojivote.features import FeatureConfig, SparseCountVector, vectorize_corpus
+from emojivote.features import FeatureConfig, vectorize_corpus
 from emojivote.corpus import RawCorpus
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
+
+from helpers import csr_from_dense
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +51,7 @@ def trained_archive():
 
 def random_inputs(dim, n=100, seed=7):
     rng = np.random.default_rng(seed)
-    return [
-        SparseCountVector.from_dense(rng.poisson(0.8, dim).astype(float)) for _ in range(n)
-    ]
+    return [csr_from_dense([rng.poisson(0.8, dim).astype(float)]) for _ in range(n)]
 
 
 class TestRoundTrip:

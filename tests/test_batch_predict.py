@@ -23,13 +23,13 @@ from emojivote.ensemble import EnsembleSpec, MetaSpec, build_meta
 from emojivote.features import (
     CsrMatrix,
     FeatureConfig,
-    SparseCountVector,
     Vocabulary,
     vectorize_corpus,
 )
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
 
+from helpers import csr_from_rows, to_dense
 from rf_oracle import TreeNode, pack
 
 
@@ -57,14 +57,14 @@ def rows_strategy(dim):
     count = st.sampled_from([1.0, 2.0, 3.0, 0.5, 1.75])
     row = st.lists(st.tuples(st.integers(0, dim - 1), count), max_size=6)
     return st.lists(row, min_size=1, max_size=12).map(
-        lambda rows: [SparseCountVector(tuple(sorted(dict(r).items())), dim) for r in rows]
+        lambda rows: [sorted(dict(r).items()) for r in rows]
     )
 
 
-def loop_proba(model, x: SparseCountVector) -> np.ndarray:
+def loop_proba(model, x: list[tuple[int, float]]) -> np.ndarray:
     """The per-row loops that batched prediction replaced, kept as the reference."""
     if isinstance(model, RfModel):
-        dense = x.to_dense()
+        (dense,) = to_dense(csr_from_rows([x], model.dimension))
         acc = np.zeros(model.num_classes)
         for node in model.roots:
             while model.feature[node] >= 0:
@@ -74,7 +74,7 @@ def loop_proba(model, x: SparseCountVector) -> np.ndarray:
         return acc / len(model.roots)
     mnb = isinstance(model, MnbModel)
     z = (model.log_priors if mnb else model.intercepts).copy()
-    for idx, cnt in x.entries:
+    for idx, cnt in x:
         z += cnt * (model.log_likelihoods if mnb else model.weights)[:, idx]
     p = np.exp(z - z.max()) if mnb else _sigmoid(z)
     return p / p.sum()
@@ -86,11 +86,11 @@ class TestBatchEqualsRows:
     def test_every_selector(self, meta, data):
         dim = meta.ensemble1.members[0].dimension
         rows = data.draw(rows_strategy(dim))
-        X = CsrMatrix.from_rows(rows, dim)
+        X = csr_from_rows(rows, dim)
         for selector in SELECTORS:
             predictor = select(meta, selector)
             batch = predictor.predict_proba(X)
-            one_by_one = np.stack([predictor.predict_proba(r) for r in rows])
+            one_by_one = np.concatenate([predictor.predict_proba(csr_from_rows([r], dim)) for r in rows])
             assert batch.shape == (len(rows), 4)
             assert np.array_equal(batch, one_by_one), selector
             if selector in ("ensemble1", "ensemble2", "meta"):
@@ -101,14 +101,14 @@ class TestBatchEqualsRows:
 
     def test_zero_rows(self, meta):
         dim = meta.ensemble1.members[0].dimension
-        X = CsrMatrix.from_rows([], dim)
+        X = csr_from_rows([], dim)
         assert len(X) == 0
         for selector in SELECTORS:
             assert select(meta, selector).predict_proba(X).shape == (0, 4)
 
     def test_batch_dimension_mismatch(self, meta):
         dim = meta.ensemble1.members[0].dimension
-        X = CsrMatrix.from_rows([SparseCountVector((), dim + 1)], dim + 1)
+        X = csr_from_rows([()], dim + 1)
         for selector in ("mnb", "lr", "rf"):
             with pytest.raises(ValueError):
                 select(meta, selector).predict_proba(X)
@@ -116,9 +116,8 @@ class TestBatchEqualsRows:
 
 class TestCsrMatrix:
     def test_from_rows_layout(self):
-        rows = [SparseCountVector(((1, 2.0), (3, 1.0)), 5), SparseCountVector((), 5),
-                SparseCountVector(((0, 0.5),), 5)]
-        X = CsrMatrix.from_rows(rows, 5)
+        rows = [((1, 2.0), (3, 1.0)), (), ((0, 0.5),)]
+        X = csr_from_rows(rows, 5)
         assert X.indptr.tolist() == [0, 2, 2, 3]
         assert X.indices.tolist() == [1, 3, 0]
         assert X.data.tolist() == [2.0, 1.0, 0.5]
@@ -154,17 +153,15 @@ class TestCsrMatrix:
         assert X.row_ids().tolist() == [0, 0, 2]
 
     def test_take_gathers_rows_in_order(self):
-        rows = [SparseCountVector(((1, 2.0), (3, 1.0)), 5), SparseCountVector((), 5),
-                SparseCountVector(((0, 0.5),), 5)]
-        X = CsrMatrix.from_rows(rows, 5).take(np.array([2, 0, 1, 2]))
+        rows = [((1, 2.0), (3, 1.0)), (), ((0, 0.5),)]
+        X = csr_from_rows(rows, 5).take(np.array([2, 0, 1, 2]))
         assert X.indptr.tolist() == [0, 1, 3, 3, 4]
         assert X.indices.tolist() == [0, 1, 3, 0]
         assert X.data.tolist() == [0.5, 2.0, 1.0, 0.5]
 
     def test_transpose_lists_each_column_in_row_order(self):
-        rows = [SparseCountVector(((1, 2.0), (3, 1.0)), 5), SparseCountVector((), 5),
-                SparseCountVector(((0, 0.5), (3, 4.0)), 5)]
-        X = CsrMatrix.from_rows(rows, 5)
+        rows = [((1, 2.0), (3, 1.0)), (), ((0, 0.5), (3, 4.0))]
+        X = csr_from_rows(rows, 5)
         T = X.transpose()
         assert (len(T), T.dimension) == (5, 3)
         assert T.indptr.tolist() == [0, 1, 2, 2, 4, 4]
@@ -202,8 +199,8 @@ class TestDeepTree:
         rf = pack([tree], dimension=2, num_classes=2)
         assert len(rf.feature) == 2 * self.DEPTH + 1
         values = [0.0, 3.0, 1999.0, 2500.0]
-        rows = [SparseCountVector(((0, v),) if v else (), 2) for v in values]
-        X = CsrMatrix.from_rows(rows, 2)
+        rows = [((0, v),) if v else () for v in values]
+        X = csr_from_rows(rows, 2)
         probs = rf_predict_proba(rf, X)
         assert np.array_equal(probs, np.stack([walk(tree, v) for v in values]))
         assert probs[-1].tolist() == [0.0, 1.0]

@@ -11,10 +11,9 @@ from emojivote.classifiers import (
     lr_objective,
     lr_predict_proba,
 )
-from emojivote.features import CsrMatrix, LabeledDataset, SparseCountVector
 from emojivote.resample import SmoteConfig, smote
 
-from helpers import dataset_from_dense, dataset_to_dense
+from helpers import csr_from_dense, csr_from_rows, dataset_from_dense, dataset_to_dense, with_labels
 
 
 def central_difference_gradient(w, b, X, y01, lam, h=1e-5):
@@ -48,8 +47,8 @@ class TestFit:
     def test_separable_1d(self):
         d = dataset_from_dense(np.array([[1.0], [0.0]]), [1, 0], 2)
         m = lr_fit(d, LrConfig(l2_strength=1.0))
-        p_pos = lr_predict_proba(m, SparseCountVector(((0, 1.0),), 1))
-        p_neg = lr_predict_proba(m, SparseCountVector((), 1))
+        p_pos = lr_predict_proba(m, csr_from_rows([((0, 1.0),)], 1))[0]
+        p_neg = lr_predict_proba(m, csr_from_rows([()], 1))[0]
         assert p_pos[1] > 0.5
         assert p_neg[0] > 0.5
 
@@ -78,10 +77,10 @@ class TestFit:
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         d = dataset_from_dense(X, [1, 0], 2)
         m = lr_fit(d, LrConfig(l2_strength=0.5))
-        for row, lab in zip(d.rows, d.labels):
-            assert lr_predict_proba(m, row)[lab] > 0.5
-        midpoint = SparseCountVector(((0, 0.5), (1, 0.5)), 2)
-        assert lr_predict_proba(m, midpoint) == pytest.approx([0.5, 0.5])
+        for probs, lab in zip(lr_predict_proba(m, d), d.labels):
+            assert probs[lab] > 0.5
+        midpoint = csr_from_rows([((0, 0.5), (1, 0.5))], 2)
+        assert lr_predict_proba(m, midpoint)[0] == pytest.approx([0.5, 0.5])
 
     def test_single_class_rejected(self):
         d = dataset_from_dense(np.ones((3, 2)), [0, 0, 0], 2)
@@ -101,10 +100,10 @@ class TestPredict:
         if len(set(labels)) < 2:
             labels[0] = (labels[1] + 1) % 3
         m = lr_fit(dataset_from_dense(X, labels, 3), LrConfig(l2_strength=0.1))
-        x = SparseCountVector.from_dense(np.abs(rng.normal(size=4)))
-        probs = lr_predict_proba(m, x)
+        x = np.abs(rng.normal(size=4))
+        probs = lr_predict_proba(m, csr_from_dense([x]))[0]
         # recompute: sigmoid scores normalized by their sum
-        z = m.weights @ x.to_dense() + m.intercepts
+        z = m.weights @ x + m.intercepts
         s = 1 / (1 + np.exp(-z))
         assert probs == pytest.approx(s / s.sum())
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -113,15 +112,14 @@ class TestPredict:
         d = dataset_from_dense(np.array([[1.0], [0.0]]), [1, 0], 2)
         m = lr_fit(d)
         with pytest.raises(ValueError):
-            lr_predict_proba(m, SparseCountVector((), 3))
+            lr_predict_proba(m, csr_from_rows([()], 3))
 
 
 def assert_matches_oracle(dataset, cfg):
     model, reference = lr_fit(dataset, cfg), lr_oracle.lr_fit(dataset, cfg)
     np.testing.assert_allclose(model.weights, reference.weights, rtol=0, atol=1e-9)
     np.testing.assert_allclose(model.intercepts, reference.intercepts, rtol=0, atol=1e-9)
-    X = CsrMatrix.from_rows(dataset.rows, dataset.dimension)
-    got, want = lr_predict_proba(model, X), lr_predict_proba(reference, X)
+    got, want = lr_predict_proba(model, dataset), lr_predict_proba(reference, dataset)
     # Classes tied within rounding in the reference have no decided label.
     top2 = np.sort(want, axis=1)[:, -2:]
     decided = top2[:, 1] - top2[:, 0] > 1e-9
@@ -147,10 +145,7 @@ def lr_cases(draw):
     top = k - 1 - draw(st.booleans())  # maybe leave class k - 1 without rows
     labels = draw(st.lists(st.integers(0, top), min_size=len(rows), max_size=len(rows)))
     labels[:2] = [0, 1]  # at least two distinct labels
-    dataset = LabeledDataset(
-        rows=[SparseCountVector(tuple(sorted(r.items())), V) for r in rows],
-        labels=labels, num_classes=k, dimension=V,
-    )
+    dataset = with_labels(csr_from_rows([sorted(r.items()) for r in rows], V), labels, k)
     if len(set(labels)) == k and draw(st.booleans()):
         dataset = smote(dataset, SmoteConfig(k_neighbors=2, seed=draw(st.integers(0, 99))))
     cfg = LrConfig(

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from emojivote.classifiers import MnbConfig, mnb_fit, mnb_predict_proba
-from emojivote.features import SparseCountVector
 from emojivote.resample import SmoteConfig, smote
 
-from helpers import dataset_from_dense
+from helpers import csr_from_dense, csr_from_rows, dataset_from_dense, rows_of
 
 
 def oracle_posterior(train_docs, train_labels, x, alpha, V, k):
@@ -39,9 +38,9 @@ def loop_fit(dataset, alpha):
     k, V = dataset.num_classes, dataset.dimension
     class_counts = np.zeros(k)
     feature_counts = np.zeros((k, V))
-    for row, lab in zip(dataset.rows, dataset.labels):
+    for row, lab in zip(rows_of(dataset), dataset.labels):
         class_counts[lab] += 1
-        for idx, cnt in row.entries:
+        for idx, cnt in row:
             feature_counts[lab, idx] += cnt
     with np.errstate(divide="ignore"):
         log_priors = np.log(class_counts / len(dataset))
@@ -90,8 +89,8 @@ class TestMnbFit:
         d = dataset_from_dense(np.array([[1.0, 0.0], [2.0, 1.0]]), [0, 0], 2)
         m = mnb_fit(d)
         assert m.log_priors[1] == -math.inf
-        x = SparseCountVector(((1, 3.0),), 2)
-        probs = mnb_predict_proba(m, x)
+        x = csr_from_rows([((1, 3.0),)], 2)
+        probs = mnb_predict_proba(m, x)[0]
         assert probs[0] == 1.0 and probs[1] == 0.0
 
     def test_empty_dataset_rejected(self):
@@ -115,8 +114,8 @@ class TestMnbPredict:
         self.model = mnb_fit(self.dataset, MnbConfig(alpha=0.5))
 
     def test_two_doc_posterior(self):
-        x = SparseCountVector(((0, 1.0), (1, 1.0)), 2)
-        probs = mnb_predict_proba(self.model, x)
+        x = csr_from_rows([((0, 1.0), (1, 1.0))], 2)
+        probs = mnb_predict_proba(self.model, x)[0]
         expected = oracle_posterior(
             [[2.0, 1.0], [0.0, 2.0]], [0, 1], [1.0, 1.0], 0.5, 2, 2
         )
@@ -125,20 +124,20 @@ class TestMnbPredict:
         assert int(np.argmax(probs)) == 0
 
     def test_empty_vector_gives_prior(self):
-        x = SparseCountVector((), 2)
-        assert mnb_predict_proba(self.model, x) == pytest.approx(
+        x = csr_from_rows([()], 2)
+        assert mnb_predict_proba(self.model, x)[0] == pytest.approx(
             np.exp(self.model.log_priors)
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mnb_predict_proba(self.model, SparseCountVector(((0, 1.0),), 3))
+            mnb_predict_proba(self.model, csr_from_rows([((0, 1.0),)], 3))
 
     def test_output_is_distribution(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            x = SparseCountVector.from_dense(rng.poisson(1.5, 2).astype(float))
-            probs = mnb_predict_proba(self.model, x)
+            x = csr_from_dense([rng.poisson(1.5, 2).astype(float)])
+            probs = mnb_predict_proba(self.model, x)[0]
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -169,7 +168,7 @@ class TestExhaustiveOracle:
                 dataset = dataset_from_dense(np.array([d0, d1]), [0, 1], 2)
                 model = mnb_fit(dataset, MnbConfig(alpha=0.5))
                 for x in docs:
-                    got = mnb_predict_proba(model, SparseCountVector.from_dense(np.array(x)))
+                    got = mnb_predict_proba(model, csr_from_dense([x]))[0]
                     want = oracle_posterior([d0, d1], [0, 1], x, 0.5, 3, 2)
                     worst = max(worst, float(np.abs(got - np.array(want)).max()))
         assert worst < 1e-9

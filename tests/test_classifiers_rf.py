@@ -13,17 +13,14 @@ from emojivote.archive import ModelArchive, archive_load, archive_save
 from emojivote.classifiers import RfConfig, rf_fit, rf_predict_proba
 from emojivote.ensemble import EnsembleSpec, MetaSpec
 from emojivote.features import (
-    CsrMatrix,
     FeatureConfig,
-    LabeledDataset,
-    SparseCountVector,
     Vocabulary,
     vectorize_corpus,
 )
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig, smote
 
-from helpers import dataset_from_dense, skewed_corpus
+from helpers import csr_from_dense, csr_from_rows, dataset_from_dense, skewed_corpus, with_labels
 from rf_oracle import TreeNode, oracle_fit, pack
 
 ARRAYS = ("feature", "threshold", "left", "right", "counts", "roots")
@@ -52,15 +49,14 @@ class TestFit:
     def test_full_tree_fits_consistent_data(self):
         d = make_consistent_dataset()
         m = rf_fit(d, RfConfig(n_trees=1, bootstrap=False, max_features=d.dimension))
-        preds = [int(np.argmax(rf_predict_proba(m, r))) for r in d.rows]
-        assert preds == d.labels
+        preds = [int(np.argmax(p)) for p in rf_predict_proba(m, d)]
+        assert preds == d.labels.tolist()
 
     def test_seed_determinism(self):
         d = make_consistent_dataset(seed=3)
         m1 = rf_fit(d, RfConfig(n_trees=5, seed=42))
         m2 = rf_fit(d, RfConfig(n_trees=5, seed=42))
-        for r in d.rows:
-            assert np.array_equal(rf_predict_proba(m1, r), rf_predict_proba(m2, r))
+        assert np.array_equal(rf_predict_proba(m1, d), rf_predict_proba(m2, d))
 
     def test_different_seeds_smoke(self):
         # not asserted as inequality, just that both train fine
@@ -72,7 +68,7 @@ class TestFit:
     def test_pure_training_set(self):
         d = dataset_from_dense(np.arange(12.0).reshape(6, 2), [1] * 6, 3)
         m = rf_fit(d, RfConfig(n_trees=4, seed=0))
-        probs = rf_predict_proba(m, d.rows[0])
+        probs = rf_predict_proba(m, d)[0]
         assert probs == pytest.approx([0.0, 1.0, 0.0])
 
     def test_empty_rejected(self):
@@ -104,8 +100,8 @@ class TestFit:
         d = dataset_from_dense(np.array([[a], [b], [b]]), [0, 1, 1], 2)
         m = rf_fit(d, RfConfig(n_trees=1, bootstrap=False))
         assert m.threshold[0] == a and len(m.feature) == 3
-        probs = rf_predict_proba(m, CsrMatrix.from_rows(d.rows, 1))
-        assert probs.argmax(axis=1).tolist() == d.labels
+        probs = rf_predict_proba(m, d)
+        assert probs.argmax(axis=1).tolist() == d.labels.tolist()
 
 
 class TestPredict:
@@ -113,18 +109,18 @@ class TestPredict:
         leaf_a = TreeNode(counts=np.array([3.0, 0.0]))
         leaf_b = TreeNode(counts=np.array([0.0, 5.0]))
         m = pack([leaf_a, leaf_b], dimension=2, num_classes=2)
-        probs = rf_predict_proba(m, SparseCountVector((), 2))
+        probs = rf_predict_proba(m, csr_from_rows([()], 2))[0]
         assert probs == pytest.approx([0.5, 0.5])
 
     def test_single_tree_identity(self):
         leaf = TreeNode(counts=np.array([1.0, 3.0]))
         m = pack([leaf], dimension=2, num_classes=2)
-        assert rf_predict_proba(m, SparseCountVector((), 2)) == pytest.approx([0.25, 0.75])
+        assert rf_predict_proba(m, csr_from_rows([()], 2))[0] == pytest.approx([0.25, 0.75])
 
     def test_unanimous_pure_trees(self):
         trees = [TreeNode(counts=np.array([0.0, 0.0, 0.0, 2.0])) for _ in range(20)]
         m = pack(trees, dimension=1, num_classes=4)
-        assert rf_predict_proba(m, SparseCountVector((), 1)) == pytest.approx([0, 0, 0, 1.0])
+        assert rf_predict_proba(m, csr_from_rows([()], 1))[0] == pytest.approx([0, 0, 0, 1.0])
 
     def test_routing(self):
         tree = TreeNode(
@@ -134,23 +130,23 @@ class TestPredict:
             right=TreeNode(counts=np.array([0.0, 1.0])),
         )
         m = pack([tree], dimension=1, num_classes=2)
-        low = rf_predict_proba(m, SparseCountVector(((0, 1.0),), 1))
-        high = rf_predict_proba(m, SparseCountVector(((0, 2.0),), 1))
+        low = rf_predict_proba(m, csr_from_rows([((0, 1.0),)], 1))[0]
+        high = rf_predict_proba(m, csr_from_rows([((0, 2.0),)], 1))[0]
         assert low == pytest.approx([1.0, 0.0])
         assert high == pytest.approx([0.0, 1.0])
 
     def test_dimension_mismatch(self):
         m = pack([TreeNode(counts=np.array([1.0]))], dimension=2, num_classes=1)
         with pytest.raises(ValueError):
-            rf_predict_proba(m, SparseCountVector((), 5))
+            rf_predict_proba(m, csr_from_rows([()], 5))
 
     def test_output_is_distribution(self):
         d = make_consistent_dataset(seed=7)
         m = rf_fit(d, RfConfig(n_trees=6, seed=1))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            x = SparseCountVector.from_dense(rng.integers(0, 4, d.dimension).astype(float))
-            probs = rf_predict_proba(m, x)
+            x = csr_from_dense([rng.integers(0, 4, d.dimension).astype(float)])
+            probs = rf_predict_proba(m, x)[0]
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -179,10 +175,7 @@ def forest_cases(draw):
     rows = base + [base[i] for i in draw(st.lists(st.integers(0, len(base) - 1), max_size=5))]
     top = k - 1 - draw(st.booleans())  # maybe leave class k - 1 without rows
     labels = draw(st.lists(st.integers(0, top), min_size=len(rows), max_size=len(rows)))
-    dataset = LabeledDataset(
-        rows=[SparseCountVector(tuple(sorted(r.items())), V) for r in rows],
-        labels=labels, num_classes=k, dimension=V,
-    )
+    dataset = with_labels(csr_from_rows([sorted(r.items()) for r in rows], V), labels, k)
     cfg = RfConfig(
         n_trees=draw(st.integers(1, 3)),
         max_features=draw(st.sampled_from([None, 1, V])),
@@ -231,9 +224,8 @@ class TestDeepFit:
         d = dataset_from_dense(np.arange(1.0, n + 1)[:, None], [i % 2 for i in range(n)], 2)
         rf = rf_fit(d, RfConfig(n_trees=1, bootstrap=False))
         assert tree_depth(rf) >= 1000
-        X = CsrMatrix.from_rows(d.rows, 1)
-        probs = rf_predict_proba(rf, X)
-        assert probs.argmax(axis=1).tolist() == d.labels
+        probs = rf_predict_proba(rf, d)
+        assert probs.argmax(axis=1).tolist() == d.labels.tolist()
 
         ensemble = EnsembleSpec(members=(rf,), weights=(1.0,))
         vocab = Vocabulary(["a"], {"a": 0}, 1, 0)
@@ -241,7 +233,7 @@ class TestDeepFit:
         archive = ModelArchive("en", AsciiPolicy.KEEP_MOST, vocab, meta)
         archive_save(archive, tmp_path / "deep.bin")
         loaded = archive_load(tmp_path / "deep.bin").model.ensemble1.members[0]
-        assert np.array_equal(loaded.predict_proba(X), probs)
+        assert np.array_equal(loaded.predict_proba(d), probs)
 
 
 def force(mp, gather=None, workers=None):

@@ -191,7 +191,7 @@ class TestPredict:
             assert main(["predict", str(trained_model), str(toy_files / "t.txt")]) == 0
         cli_preds = [int(l) for l in buf.getvalue().splitlines()]
         lib_preds = [
-            ar.model.predict(text_to_vector(t, ar.policy, ar.vocabulary)) for t in texts
+            int(ar.model.predict(text_to_vector([t], ar.policy, ar.vocabulary))[0]) for t in texts
         ]
         assert cli_preds == lib_preds
 
@@ -205,7 +205,7 @@ class TestPredict:
         out = tmp_path / "many.pred"
         assert main(["predict", str(trained_model), str(src), "-o", str(out)]) == 0
         lib_preds = [
-            str(ar.model.predict(text_to_vector(t, ar.policy, ar.vocabulary))) for t in texts
+            str(ar.model.predict(text_to_vector([t], ar.policy, ar.vocabulary))[0]) for t in texts
         ]
         assert out.read_text().splitlines() == lib_preds
 

@@ -137,7 +137,7 @@ class TestBuild:
             self.dataset, (1.0, 1.0, 1.0), lr_cfg=LrConfig(max_iters=20), rf_cfg=RfConfig(n_trees=2)
         )
         assert len(spec.members) == 3
-        probs = spec.predict_proba(self.dataset.rows[0])
+        probs = spec.predict_proba(self.dataset.take(np.array([0])))[0]
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_meta_on_balanced_data_equals_ensemble1(self):
@@ -150,7 +150,8 @@ class TestBuild:
             lr_cfg=LrConfig(max_iters=30),
             rf_cfg=RfConfig(n_trees=3, seed=0),
         )
-        for row in self.dataset.rows[:5]:
+        for i in range(5):
+            row = self.dataset.take(np.array([i]))
             p1 = meta.ensemble1.predict_proba(row)
             p2 = meta.ensemble2.predict_proba(row)
             assert p1 == pytest.approx(p2)

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from emojivote.corpus import RawCorpus
 from emojivote.features import (
     FeatureConfig,
-    SparseCountVector,
+    LabeledDataset,
     build_vocabulary,
+    text_to_vector,
     vectorize,
     vectorize_corpus,
 )
-from emojivote.preprocess import AsciiPolicy, extract_ngrams, tokenize
+from emojivote.preprocess import AsciiPolicy, extract_ngrams, normalize, tokenize
+
+from helpers import csr_from_rows, rows_of, same, to_dense, with_labels
 
 bags_strategy = st.lists(
     st.lists(st.text(alphabet="abcd", min_size=1, max_size=2), min_size=0, max_size=6).map(
@@ -41,13 +44,6 @@ class TestBuildVocabulary:
         assert "a b" in vocab.feature_to_index
         assert vocab.num_unigrams == 2
         assert vocab.num_bigrams == 1
-
-    def test_flags_filter(self):
-        bags = [extract_ngrams(["a", "b"])]
-        only_uni = build_vocabulary(bags, FeatureConfig(min_df=1, use_bigrams=False))
-        assert only_uni.index_to_feature == ["a", "b"]
-        only_bi = build_vocabulary(bags, FeatureConfig(min_df=1, use_unigrams=False))
-        assert only_bi.index_to_feature == ["a b"]
 
     def test_empty_input(self):
         assert build_vocabulary([], FeatureConfig()).size == 0
@@ -77,18 +73,18 @@ class TestBuildVocabulary:
 class TestVectorize:
     def test_basic(self):
         vocab = build_vocabulary([Counter({"a": 1, "a b": 1})], FeatureConfig(min_df=1))
-        v = vectorize(Counter({"a": 2, "a b": 1}), vocab)
+        (v,) = rows_of(vectorize([Counter({"a": 2, "a b": 1})], vocab))
         idx = vocab.feature_to_index
-        assert dict(v.entries) == {idx["a"]: 2.0, idx["a b"]: 1.0}
+        assert dict(v) == {idx["a"]: 2.0, idx["a b"]: 1.0}
 
     def test_oov_ignored(self):
         vocab = build_vocabulary([Counter({"a": 1})], FeatureConfig(min_df=1))
-        assert vectorize(Counter({"zzz": 4}), vocab).entries == ()
+        assert rows_of(vectorize([Counter({"zzz": 4})], vocab)) == [()]
 
     def test_empty_bag(self):
         vocab = build_vocabulary([Counter({"a": 1})], FeatureConfig(min_df=1))
-        v = vectorize(Counter(), vocab)
-        assert v.entries == () and v.dimension == 1
+        v = vectorize([Counter()], vocab)
+        assert rows_of(v) == [()] and v.dimension == 1
 
     @given(bags_strategy)
     def test_linearity(self, bags):
@@ -96,15 +92,15 @@ class TestVectorize:
         if len(bags) < 2:
             return
         b1, b2 = bags[0], bags[1]
-        combined = vectorize(b1 + b2, vocab).to_dense()
-        assert np.array_equal(combined, vectorize(b1, vocab).to_dense() + vectorize(b2, vocab).to_dense())
+        combined = to_dense(vectorize([b1 + b2], vocab))
+        assert np.array_equal(combined, to_dense(vectorize([b1], vocab)) + to_dense(vectorize([b2], vocab)))
 
     @given(bags_strategy)
     def test_row_sum_counts_in_vocab_grams(self, bags):
         vocab = build_vocabulary(bags, FeatureConfig(min_df=2))
         for bag in bags:
             expected = sum(c for f, c in bag.items() if f in vocab.feature_to_index)
-            got = sum(c for _, c in vectorize(bag, vocab).entries)
+            got = sum(c for _, c in rows_of(vectorize([bag], vocab))[0])
             assert got == expected
 
 
@@ -113,15 +109,15 @@ class TestVectorizeCorpus:
         corpus = RawCorpus(["a b"] * 6, [0, 1, 0, 1, 0, 1], 2)
         vocab, d = vectorize_corpus(corpus, AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=5))
         assert vocab.index_to_feature == ["a", "a b", "b"]
-        for row in d.rows:
-            assert [c for _, c in row.entries] == [1.0, 1.0, 1.0]
-        assert d.labels == corpus.labels
+        for row in rows_of(d):
+            assert [c for _, c in row] == [1.0, 1.0, 1.0]
+        assert d.labels.tolist() == corpus.labels
 
     def test_cutoff_exceeds_corpus(self):
         corpus = RawCorpus(["hello world"], [0], 2)
         vocab, d = vectorize_corpus(corpus, AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=5))
         assert vocab.size == 0
-        assert all(r.entries == () for r in d.rows)
+        assert all(r == () for r in rows_of(d))
 
     def test_df_oracle_random_corpora(self):
         rng = np.random.default_rng(11)
@@ -140,17 +136,65 @@ class TestVectorizeCorpus:
                 assert (feat in vocab.feature_to_index) == (df >= 5)
 
 
-class TestSparseCountVector:
+words_strategy = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=5)
+# Words of three letters or more from another alphabet: each is rare, so a
+# tweet of them alone is often all-OOV.
+rare_strategy = st.lists(st.text(alphabet="xyz", min_size=3, max_size=5), max_size=3)
+tweets_strategy = st.lists(
+    st.tuples(words_strategy, rare_strategy).map(lambda p: " ".join(p[0] + p[1])),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestVectorizeOracle:
+    """The CSR rows equal a per-bag {index: count} reference, chunked or not."""
+
+    @given(tweets_strategy, st.integers(1, 3))
+    def test_corpus_rows_equal_per_bag_counts(self, texts, min_df):
+        corpus = RawCorpus(texts, [0] * len(texts), 2)
+        vocab, d = vectorize_corpus(corpus, AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=min_df))
+        index = vocab.feature_to_index
+        reference = []
+        for t in texts:
+            bag = extract_ngrams(tokenize(normalize(t, AsciiPolicy.KEEP_MOST)))
+            counts = {index[f]: float(c) for f, c in bag.items() if f in index}
+            reference.append(tuple(sorted(counts.items())))
+        assert rows_of(d) == reference
+        assert (len(d), d.dimension) == (len(texts), vocab.size)
+
+    @given(tweets_strategy, st.integers(1, 3), st.integers(0, 30))
+    def test_chunk_equals_texts_stacked(self, texts, min_df, cut):
+        corpus = RawCorpus(texts, [0] * len(texts), 2)
+        vocab, _ = vectorize_corpus(corpus, AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=min_df))
+        chunk = (texts + ["", "zzz qqq"])[cut:]
+        X = text_to_vector(chunk, AsciiPolicy.KEEP_MOST, vocab)
+        one_by_one = [text_to_vector([t], AsciiPolicy.KEEP_MOST, vocab) for t in chunk]
+        assert rows_of(X) == [row for x in one_by_one for row in rows_of(x)]
+        assert X.dimension == vocab.size and len(X) == len(chunk)
+        for t, x in zip(chunk, one_by_one):  # a lone text is a chunk of one
+            assert same(text_to_vector(t, AsciiPolicy.KEEP_MOST, vocab), x)
+
+
+def labeled(entries, labels=(0,)) -> LabeledDataset:
+    return with_labels(csr_from_rows(entries, 3), labels, 2)
+
+
+class TestLabeledDataset:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            SparseCountVector(((1, 1.0), (0, 1.0)), 3)  # not increasing
+            labeled([((1, 1.0), (0, 1.0))])  # not increasing
         with pytest.raises(ValueError):
-            SparseCountVector(((0, 0.0),), 3)  # zero count
+            labeled([((0, 0.0),)])  # zero count
         with pytest.raises(ValueError, match="positive"):
-            SparseCountVector(((0, float("nan")),), 3)  # NaN count
+            labeled([((0, float("nan")),)])  # NaN count
+        with pytest.raises(ValueError, match="positive"):
+            labeled([((0, float("inf")),)])  # infinite count
         with pytest.raises(ValueError):
-            SparseCountVector(((5, 1.0),), 3)  # index out of range
-
-    def test_dense_round_trip(self):
-        v = SparseCountVector(((0, 2.0), (3, 0.5)), 5)
-        assert SparseCountVector.from_dense(v.to_dense()) == v
+            labeled([((5, 1.0),)])  # index out of range
+        with pytest.raises(ValueError, match="labels"):
+            labeled([((0, 1.0),)], labels=(2,))  # label out of range
+        with pytest.raises(ValueError, match="labels"):
+            labeled([((0, 1.0),)], labels=(-1,))
+        with pytest.raises(ValueError, match="equal length"):
+            labeled([((0, 1.0),), ()], labels=(0,))  # length mismatch
