@@ -32,9 +32,17 @@ def _batched(predict_proba):
 
 
 def _linear_scores(bias: np.ndarray, weights: np.ndarray, X: CsrMatrix) -> np.ndarray:
-    """bias + X @ weights.T as (n, k), by np.add.at (reduceat mishandles empty rows)."""
+    """bias + X @ weights.T as (n, k), adding each row's terms left to right:
+
+    step j adds the j-th entry of every row that has one. (np.add.reduceat
+    would sum a row of 8 or more terms pairwise, in another order.)
+    """
     scores = np.tile(bias, (len(X), 1))
-    np.add.at(scores, X.row_ids(), X.data[:, None] * weights.T[X.indices])
+    lengths = np.diff(X.indptr)
+    for j in range(lengths.max(initial=0)):
+        rows = np.flatnonzero(lengths > j)
+        at = X.indptr[rows] + j
+        scores[rows] += X.data[at, None] * weights.T[X.indices[at]]
     return scores
 
 
@@ -70,9 +78,9 @@ def mnb_fit(dataset: LabeledDataset, cfg: MnbConfig = MnbConfig()) -> MnbModel:
         raise ValueError("naive Bayes needs at least one feature")
     k, V, y = dataset.num_classes, dataset.dimension, dataset.labels
     class_counts = np.bincount(y, minlength=k)
-    feature_counts = np.zeros((k, V))
-    # add.at adds in entry order, so every sum is the row-by-row loop's
-    np.add.at(feature_counts, (y[dataset.row_ids()], dataset.indices), dataset.data)
+    # bincount adds its weights in entry order, so every sum is the row-by-row loop's
+    cell = y[dataset.row_ids()] * V + dataset.indices
+    feature_counts = np.bincount(cell, weights=dataset.data, minlength=k * V).reshape(k, V)
     with np.errstate(divide="ignore"):
         log_priors = np.log(class_counts / len(dataset))
     totals = feature_counts.sum(axis=1, keepdims=True)
@@ -603,26 +611,45 @@ def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     return RfModel(dataset.dimension, k, *_renumber(arrays, sizes, [len(s) for s in shares]))
 
 
+# rf_predict_proba walks at most this many rows at once. A block's dense table
+# holds rows x (its distinct columns + 1) floats, at most rows x (nnz + 1).
+RF_BLOCK_ROWS = 256
+
+
 @_batched
 def rf_predict_proba(model: RfModel, X: CsrMatrix) -> np.ndarray:
-    """Mean leaf distribution over the trees. All (row, tree) walks advance one
+    """Mean leaf distribution over the trees, RF_BLOCK_ROWS rows at a time.
 
-    level per step; x[row, f] is found among the sorted keys row * V + index.
+    A block's rows are copied into a dense table over the block's distinct
+    columns, after a column 0 of zeros; column[f] is feature f's place in it,
+    0 for a feature absent from the block and, at index -1, for a leaf. All
+    (row, tree) walks of the block advance one level per step, each reading
+    x[row, f] as table[row, column[f]].
     """
-    n, T, V = len(X), len(model.roots), X.dimension
-    keys = np.append(X.row_ids() * V + X.indices, -1)  # -1 matches no lookup
-    data = np.append(X.data, 0.0)
-    node = np.tile(model.roots, n)  # walk r * T + t: row r, tree t
-    row = np.repeat(np.arange(n), T)
-    live = np.flatnonzero(model.feature[node] >= 0)
-    while live.size:
-        at = node[live]
-        key = row[live] * V + model.feature[at]
-        pos = np.searchsorted(keys[:-1], key)
-        x = np.where(keys[pos] == key, data[pos], 0.0)
-        at = np.where(x <= model.threshold[at], model.left[at], model.right[at])
-        node[live] = at
-        live = live[model.feature[at] >= 0]
-    counts = model.counts[node].reshape(n, T, model.num_classes)
-    leaf = counts / counts.sum(axis=2, keepdims=True)
-    return sum(leaf[:, t] for t in range(T)) / T  # summed tree by tree, in order
+    n, T, k = len(X), len(model.roots), model.num_classes
+    out = np.empty((n, k))
+    column = np.zeros(X.dimension + 1, dtype=np.intp)  # column[-1] stays 0
+    for start in range(0, n, RF_BLOCK_ROWS):
+        indptr = X.indptr[start : start + RF_BLOCK_ROWS + 1]
+        m, entries = len(indptr) - 1, slice(indptr[0], indptr[-1])
+        indices = X.indices[entries]
+        present = np.sort(indices)  # then deduplicated (np.unique would import numpy.ma)
+        present = present[np.diff(present, prepend=-1) > 0]
+        column[present] = np.arange(1, len(present) + 1)
+        table = np.zeros((m, len(present) + 1))
+        table[np.repeat(np.arange(m), np.diff(indptr)), column[indices]] = X.data[entries]
+        split_column = column[model.feature]
+        column[present] = 0
+        node = np.tile(model.roots, m)  # walk r * T + t: row r, tree t
+        row = np.repeat(np.arange(m), T)
+        live = np.flatnonzero(model.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            x = table[row[live], split_column[at]]
+            at = np.where(x <= model.threshold[at], model.left[at], model.right[at])
+            node[live] = at
+            live = live[model.feature[at] >= 0]
+        counts = model.counts[node].reshape(m, T, k)
+        leaf = counts / counts.sum(axis=2, keepdims=True)
+        out[start : start + m] = sum(leaf[:, t] for t in range(T)) / T  # tree by tree, in order
+    return out

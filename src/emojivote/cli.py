@@ -111,14 +111,13 @@ def _write_atomic(path, content: str) -> None:
 def _stratified_split(corpus: RawCorpus, fraction: float, seed: int):
     """Hold out `fraction` of each class for testing; returns (train, test)."""
     rng = np.random.default_rng([seed, 0xD1])
-    test_idx = set()
+    labels = np.asarray(corpus.labels, dtype=np.intp)
+    held = np.zeros(len(labels), dtype=bool)
     for c in range(corpus.num_classes):
-        members = [i for i, lab in enumerate(corpus.labels) if lab == c]
+        members = np.flatnonzero(labels == c)
         n_test = int(round(len(members) * fraction))
-        chosen = rng.permutation(len(members))[:n_test]
-        test_idx.update(members[i] for i in chosen)
-    train_i = [i for i in range(len(corpus)) if i not in test_idx]
-    test_i = [i for i in range(len(corpus)) if i in test_idx]
+        held[members[rng.permutation(len(members))[:n_test]]] = True
+    train_i, test_i = np.flatnonzero(~held).tolist(), np.flatnonzero(held).tolist()
     make = lambda idx: RawCorpus(
         texts=[corpus.texts[i] for i in idx],
         labels=[corpus.labels[i] for i in idx],
@@ -218,12 +217,13 @@ def cmd_predict(args) -> int:
     ar = archive_load(args.model)
     texts = _read_lines(args.text)
     lines = []
-    for chunk in _predict_chunks(ar, texts, args.selector):
-        for probs in chunk:
-            line = str(int(np.argmax(probs)))
-            if args.proba:
-                line += "\t" + " ".join(f"{p:.6f}" for p in probs)
-            lines.append(line)
+    for probs in _predict_chunks(ar, texts, args.selector):
+        labels = probs.argmax(axis=1).tolist()
+        if args.proba:
+            rows = zip(labels, probs.tolist())
+            lines += [f"{c}\t" + " ".join(f"{p:.6f}" for p in row) for c, row in rows]
+        else:
+            lines += map(str, labels)
     out = "".join(line + "\n" for line in lines)
     if args.out:
         _write_atomic(args.out, out)

@@ -139,7 +139,8 @@ def vectorize(bags: list[Counter], vocab: Vocabulary) -> CsrMatrix:
 
 
 def ngram_bags(texts: list[str], policy: AsciiPolicy) -> list[Counter]:
-    return [extract_ngrams(tokenize(normalize(t, policy))) for t in texts]
+    memo: dict[str, list[str]] = {}  # chunk -> tokens, for this call's texts only
+    return [extract_ngrams(tokenize(normalize(t, policy), memo)) for t in texts]
 
 
 def vectorize_corpus(

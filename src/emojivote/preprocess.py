@@ -20,12 +20,13 @@ class AsciiPolicy(enum.Enum):
 # The six codepoints dropped under KEEP_MOST: middle dot, right/left single
 # quotation marks, bullet, horizontal ellipsis, katakana middle dot.
 REMOVED_CODEPOINTS = frozenset("·’‘•…・")
+_DROP_REMOVED = dict.fromkeys(map(ord, REMOVED_CODEPOINTS))  # a str.translate table
 
 
 def apply_ascii_policy(text: str, policy: AsciiPolicy) -> str:
     if policy is AsciiPolicy.STRIP_ALL:
-        return "".join(ch for ch in text if ord(ch) < 0x80)
-    return "".join(ch for ch in text if ch not in REMOVED_CODEPOINTS)
+        return text.encode("ascii", "ignore").decode("ascii")
+    return text.translate(_DROP_REMOVED)
 
 
 def normalize(text: str, policy: AsciiPolicy) -> str:
@@ -79,17 +80,24 @@ def _split_chunk(chunk: str) -> list[str]:
     return tokens
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str, memo: dict[str, list[str]] | None = None) -> list[str]:
     """Tokenize already-normalized text.
 
     Rules: split on Unicode whitespace; peel leading/trailing punctuation
     runs into their own tokens; split contractions at the apostrophe with
     the apostrophe kept on the suffix; #hashtags and @mentions stay single
-    tokens.
+    tokens. `memo` maps whitespace chunks already split to their tokens; a
+    caller tokenizing many texts passes one dict to all of them, as text
+    repeats its chunks.
     """
+    if memo is None:
+        memo = {}
     tokens: list[str] = []
     for chunk in text.split():
-        tokens.extend(_split_chunk(chunk))
+        split = memo.get(chunk)
+        if split is None:
+            split = memo[chunk] = _split_chunk(chunk)
+        tokens += split
     return tokens
 
 

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emojivote
 from emojivote.archive import archive_load
-from emojivote.cli import main
+from emojivote.cli import _stratified_split, main
+from emojivote.corpus import RawCorpus
 from emojivote.features import text_to_vector
 
 
@@ -140,6 +143,40 @@ class TestTrain:
         )
         assert rc == 0
         assert "split: 71 train / 19 held out" in capsys.readouterr().out
+
+
+def loop_split(corpus: RawCorpus, fraction: float, seed: int):
+    """The per-class corpus scans `_stratified_split` replaced, kept as the reference."""
+    rng = np.random.default_rng([seed, 0xD1])
+    test_idx = set()
+    for c in range(corpus.num_classes):
+        members = [i for i, lab in enumerate(corpus.labels) if lab == c]
+        n_test = int(round(len(members) * fraction))
+        chosen = rng.permutation(len(members))[:n_test]
+        test_idx.update(members[i] for i in chosen)
+    train_i = [i for i in range(len(corpus)) if i not in test_idx]
+    test_i = [i for i in range(len(corpus)) if i in test_idx]
+    make = lambda idx: RawCorpus(
+        texts=[corpus.texts[i] for i in idx],
+        labels=[corpus.labels[i] for i in idx],
+        num_classes=corpus.num_classes,
+    )
+    return make(train_i), make(test_i)
+
+
+class TestStratifiedSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 4), max_size=60),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**16),
+    )
+    def test_holds_out_what_the_loop_held_out(self, labels, fraction, seed):
+        # k = 6 leaves class 5 (and often others) without members.
+        corpus = RawCorpus(texts=[f"t{i}" for i in range(len(labels))], labels=labels, num_classes=6)
+        for got, want in zip(_stratified_split(corpus, fraction, seed), loop_split(corpus, fraction, seed)):
+            assert got == want
+            assert all(type(lab) is int for lab in got.labels)
 
 
 class TestPredict:
