@@ -37,7 +37,6 @@ class ModelArchive:
     vocabulary: Vocabulary
     model: MetaSpec
     metadata: dict = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
 
 class _Reader:
@@ -87,7 +86,7 @@ def archive_save(archive: ModelArchive, path) -> None:
         sort_keys=True,
     ).encode("utf-8")
     with atomic_file(path) as fh:
-        fh.write(MAGIC + bytes([archive.version]) + struct.pack("<Q", len(header)) + header)
+        fh.write(MAGIC + bytes([FORMAT_VERSION]) + struct.pack("<Q", len(header)) + header)
         for section in (archive.vocabulary, archive.model):
             start = fh.tell()
             fh.write(bytes(8))
@@ -131,4 +130,4 @@ def archive_load(path) -> ModelArchive:
         raise ArchiveError(f"{path}: a section does not unpickle: {exc!r}") from exc
     if not (isinstance(vocabulary, Vocabulary) and isinstance(model, MetaSpec)):
         raise ArchiveError(f"{path}: sections are not a vocabulary and a model")
-    return ModelArchive(language, policy, vocabulary, model, metadata, version)
+    return ModelArchive(language, policy, vocabulary, model, metadata)

@@ -55,8 +55,8 @@ class MnbConfig:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be > 0 and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class LrConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.l2_strength < 0:
-            raise ValueError("l2_strength must be >= 0")
+        if not 0 <= self.l2_strength < math.inf:
+            raise ValueError(f"l2_strength must be >= 0 and finite, got {self.l2_strength}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tolerance <= 0:
@@ -164,7 +164,7 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit logistic regression on an empty dataset")
-    if len(np.unique(dataset.labels)) < 2:
+    if np.count_nonzero(np.bincount(dataset.labels, minlength=dataset.num_classes)) < 2:
         raise ValueError("logistic regression needs at least 2 distinct labels")
     n, V, k, lam = len(dataset), dataset.dimension, dataset.num_classes, cfg.l2_strength
     X = np.zeros((n, V))

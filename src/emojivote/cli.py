@@ -8,7 +8,7 @@ overridden by explicit flags.
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,18 +23,18 @@ from .corpus import (
     load_mapping,
 )
 from .ensemble import (
-    BASE_MEMBER_ORDER,
     LANGUAGE_BASE_WEIGHTS,
     LANGUAGE_META_WEIGHTS,
+    SELECTORS,
     build_meta,
+    check_weights,
+    select,
 )
 from .exceptions import ArchiveError, DataError
 from .features import FeatureConfig, text_to_vector, vectorize_corpus
 from .metrics import confusion, evaluate, report_render
 from .preprocess import AsciiPolicy
 from .resample import SmoteConfig, plan_resample, smote
-
-SELECTORS = ("mnb", "lr", "rf", "ensemble1", "ensemble2", "meta")
 
 PREDICT_CHUNK = 256  # tweets per batch: amortizes numpy calls, keeps batch memory small
 
@@ -48,59 +48,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    language: str = "en"
-    policy: AsciiPolicy = AsciiPolicy.KEEP_MOST
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    mnb: MnbConfig = field(default_factory=MnbConfig)
-    lr: LrConfig = field(default_factory=LrConfig)
-    rf: RfConfig = field(default_factory=RfConfig)
-    smote: SmoteConfig = field(default_factory=SmoteConfig)
-    base_weights: tuple[float, float, float] = LANGUAGE_BASE_WEIGHTS["en"]
-    meta_weights: tuple[float, float] = LANGUAGE_META_WEIGHTS["en"]
-    seed: int = 0
-
-
-def _parse_weights(text: str, n: int, flag: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise UsageError(f"{flag} expects {n} comma-separated values, got {text!r}")
+@contextmanager
+def _flag_values():
+    """Report a value that a config or weights check rejects as a usage error."""
     try:
-        weights = tuple(float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"{flag}: unparseable weight in {text!r}")
-    if any(w <= 0 for w in weights):
-        raise UsageError(f"{flag}: weights must be positive")
-    return weights
-
-
-def _run_config(args) -> RunConfig:
-    base = (
-        _parse_weights(args.base_weights, 3, "--base-weights")
-        if args.base_weights
-        else LANGUAGE_BASE_WEIGHTS[args.lang]
-    )
-    meta = (
-        _parse_weights(args.meta_weights, 2, "--meta-weights")
-        if args.meta_weights
-        else LANGUAGE_META_WEIGHTS[args.lang]
-    )
-    try:
-        return RunConfig(
-            language=args.lang,
-            policy=AsciiPolicy(args.ascii_policy),
-            features=FeatureConfig(min_df=args.min_df),
-            mnb=MnbConfig(alpha=args.alpha),
-            lr=LrConfig(l2_strength=args.l2),
-            rf=RfConfig(n_trees=args.trees, seed=args.seed),
-            smote=SmoteConfig(k_neighbors=args.smote_k, seed=args.seed),
-            base_weights=base,
-            meta_weights=meta,
-            seed=args.seed,
-        )
-    except ValueError as exc:  # a config rejected a flag's value
+        yield
+    except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _weights(text, preset: tuple[float, ...], flag: str) -> tuple[float, ...]:
+    """The weights a comma-separated flag value gives, or the language preset."""
+    if not text:
+        return preset
+    try:
+        weights = tuple(float(p) for p in text.split(","))
+        check_weights(weights, len(preset))
+    except ValueError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}")
+    return weights
 
 
 def _write_atomic(path, content: str) -> None:
@@ -126,19 +92,9 @@ def _stratified_split(corpus: RawCorpus, fraction: float, seed: int):
     return make(train_i), make(test_i)
 
 
-def _select(model, selector: str):
-    if selector not in SELECTORS:
-        raise UsageError(f"unknown selector {selector!r}; valid: {', '.join(SELECTORS)}")
-    if selector == "meta":
-        return model
-    if selector in ("ensemble1", "ensemble2"):
-        return getattr(model, selector)
-    return model.ensemble1.members[BASE_MEMBER_ORDER.index(selector)]
-
-
 def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
     """(n, k) distributions for consecutive chunks of PREDICT_CHUNK texts."""
-    predictor = _select(ar.model, selector)
+    predictor = select(ar.model, selector)
     for start in range(0, len(texts), PREDICT_CHUNK):
         chunk = texts[start : start + PREDICT_CHUNK]
         yield predictor.predict_proba(text_to_vector(chunk, ar.policy, ar.vocabulary))
@@ -149,19 +105,25 @@ def _predict_labels(ar: ModelArchive, texts: list[str], selector: str) -> list[i
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
+    with _flag_values():
+        features = FeatureConfig(min_df=args.min_df)
+        smote_cfg = SmoteConfig(k_neighbors=args.smote_k, seed=args.seed)
+        mnb_cfg, lr_cfg = MnbConfig(alpha=args.alpha), LrConfig(l2_strength=args.l2)
+        rf_cfg = RfConfig(n_trees=args.trees, seed=args.seed)
+        base_weights = _weights(args.base_weights, LANGUAGE_BASE_WEIGHTS[args.lang], "--base-weights")
+        meta_weights = _weights(args.meta_weights, LANGUAGE_META_WEIGHTS[args.lang], "--meta-weights")
     if args.split is not None and not 0 < args.split < 1:
         raise UsageError(f"--split must be between 0 and 1 (exclusive), got {args.split}")
+    policy = AsciiPolicy(args.ascii_policy)
     corpus = load_corpus(args.text, args.labels, args.classes)
     test_corpus = None
     if args.split:
-        corpus, test_corpus = _stratified_split(corpus, args.split, cfg.seed)
+        corpus, test_corpus = _stratified_split(corpus, args.split, args.seed)
         print(f"split: {len(corpus)} train / {len(test_corpus)} held out")
 
-    vocab, dataset = vectorize_corpus(corpus, cfg.policy, cfg.features)
+    vocab, dataset = vectorize_corpus(corpus, policy, features)
     if vocab.size == 0:
-        raise DataError(f"no n-gram occurs in --min-df {cfg.features.min_df} tweets; lower it")
-    dist = class_distribution(corpus)
+        raise DataError(f"no n-gram occurs in --min-df {features.min_df} tweets; lower it")
     print(f"corpus: {len(corpus)} tweets, {corpus.num_classes} classes")
     print(
         f"vocabulary: {vocab.size} features "
@@ -172,31 +134,31 @@ def cmd_train(args) -> int:
 
     model = build_meta(
         dataset,
-        smote_cfg=cfg.smote,
-        meta_weights=cfg.meta_weights,
-        base_weights=cfg.base_weights,
-        mnb_cfg=cfg.mnb,
-        lr_cfg=cfg.lr,
-        rf_cfg=cfg.rf,
+        smote_cfg=smote_cfg,
+        meta_weights=meta_weights,
+        base_weights=base_weights,
+        mnb_cfg=mnb_cfg,
+        lr_cfg=lr_cfg,
+        rf_cfg=rf_cfg,
     )
     ar = ModelArchive(
-        language=cfg.language,
-        policy=cfg.policy,
+        language=args.lang,
+        policy=policy,
         vocabulary=vocab,
         model=model,
         metadata={
-            "seed": cfg.seed,
+            "seed": args.seed,
             "num_tweets": len(corpus),
             "num_classes": corpus.num_classes,
-            "class_counts": dist.counts,
+            "class_counts": plan.original_counts,
             "vocab_size": vocab.size,
-            "base_weights": list(cfg.base_weights),
-            "meta_weights": list(cfg.meta_weights),
-            "min_df": cfg.features.min_df,
-            "alpha": cfg.mnb.alpha,
-            "l2": cfg.lr.l2_strength,
-            "trees": cfg.rf.n_trees,
-            "smote_k": cfg.smote.k_neighbors,
+            "base_weights": list(base_weights),
+            "meta_weights": list(meta_weights),
+            "min_df": features.min_df,
+            "alpha": mnb_cfg.alpha,
+            "l2": lr_cfg.l2_strength,
+            "trees": rf_cfg.n_trees,
+            "smote_k": smote_cfg.k_neighbors,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         },
     )
@@ -234,7 +196,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ar = archive_load(args.model)
-    k = ar.model.ensemble1.members[0].num_classes
+    k = select(ar.model, "mnb").num_classes
     gold_corpus = load_corpus(args.text, args.gold, k)
     preds = _predict_labels(ar, gold_corpus.texts, args.selector)
     report = evaluate(confusion(gold_corpus.labels, preds, k))
@@ -249,14 +211,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_resample(args) -> int:
-    cfg = _run_config(args)
+    with _flag_values():
+        features = FeatureConfig(min_df=args.min_df)
+        smote_cfg = SmoteConfig(k_neighbors=args.smote_k, seed=args.seed)
     corpus = load_corpus(args.text, args.labels, args.classes)
-    vocab, dataset = vectorize_corpus(corpus, cfg.policy, cfg.features)
+    vocab, dataset = vectorize_corpus(corpus, AsciiPolicy(args.ascii_policy), features)
     plan = plan_resample(dataset)
     print(f"vocabulary: {vocab.size} features")
     for c, (n, s) in enumerate(zip(plan.original_counts, plan.synthetic_counts)):
         print(f"class {c}: {n} original + {s} synthetic -> {plan.target}")
-    resampled = smote(dataset, cfg.smote)
+    resampled = smote(dataset, smote_cfg)
     print(f"resampled size: {len(resampled)} (target total {plan.total})")
     return 0
 
@@ -270,16 +234,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by `train` and `resample`; `resample` takes `--lang` but ignores it."""
+    p.add_argument("-k", "--classes", type=int, required=True)
     p.add_argument("--lang", choices=("en", "es"), default="en")
     p.add_argument("--ascii-policy", choices=("strip-all", "keep-most"), default="keep-most")
     p.add_argument("--min-df", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--trees", type=int, default=20)
     p.add_argument("--smote-k", type=int, default=5)
-    p.add_argument("--base-weights", default=None, metavar="W1,W2,W3")
-    p.add_argument("--meta-weights", default=None, metavar="W1,W2")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -290,11 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the two-level ensemble and write a model archive")
     p.add_argument("text", help="tweets, one per line")
     p.add_argument("labels", help="class indices, one per line")
-    p.add_argument("-k", "--classes", type=int, required=True)
+    _add_corpus_flags(p)
     p.add_argument("-o", "--out", required=True, help="model archive output path")
     p.add_argument("--split", type=float, default=None, help="held-out fraction (stratified)")
     p.add_argument("--selector", choices=SELECTORS, default="meta")
-    _add_pipeline_flags(p)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--l2", type=float, default=1.0)
+    p.add_argument("--trees", type=int, default=20)
+    p.add_argument("--base-weights", default=None, metavar="W1,W2,W3")
+    p.add_argument("--meta-weights", default=None, metavar="W1,W2")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict labels for a text file")
@@ -318,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resample", help="report SMOTE oversampling statistics")
     p.add_argument("text")
     p.add_argument("labels")
-    p.add_argument("-k", "--classes", type=int, required=True)
-    _add_pipeline_flags(p)
+    _add_corpus_flags(p)
     p.set_defaults(func=cmd_resample)
 
     p = sub.add_parser("stats", help="print the class distribution")

@@ -7,6 +7,7 @@ over the base ensemble trained on original data (Ensemble1) and on
 SMOTE-oversampled data (Ensemble2).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +26,39 @@ from .resample import SmoteConfig, smote
 # Member order for base-ensemble weight triples.
 BASE_MEMBER_ORDER = ("mnb", "lr", "rf")
 
+# Names of the parts of a meta model that predict on their own: the base
+# members of Ensemble1, the two base ensembles, and the meta vote.
+SELECTORS = BASE_MEMBER_ORDER + ("ensemble1", "ensemble2", "meta")
+
 # Hand-tuned voting weights per language: base triple (MNB, LR, RF) and
 # meta pair (Ensemble1, Ensemble2).
 LANGUAGE_BASE_WEIGHTS = {"es": (1.1, 1.0, 1.0), "en": (1.5, 6.0, 1.0)}
 LANGUAGE_META_WEIGHTS = {"es": (3.0, 1.0), "en": (4.0, 1.0)}
 
 
+def select(model: "MetaSpec", name: str):
+    """The member or vote of `model` that `name`, one of SELECTORS, names."""
+    if name not in SELECTORS:
+        raise ValueError(f"unknown selector {name!r}; valid: {', '.join(SELECTORS)}")
+    if name == "meta":
+        return model
+    if name in ("ensemble1", "ensemble2"):
+        return getattr(model, name)
+    return model.ensemble1.members[BASE_MEMBER_ORDER.index(name)]
+
+
+def check_weights(weights, n: int) -> None:
+    """Raise ValueError unless `weights` holds n positive, finite weights."""
+    if len(weights) != n:
+        raise ValueError(f"{len(weights)} weights for {n} members")
+    if not all(0 < w < math.inf for w in weights):
+        raise ValueError(f"ensemble weights must be positive and finite, got {tuple(weights)}")
+
+
 def vote_proba(weights, member_probs) -> np.ndarray:
     """Weighted soft vote: sum of w_i * P_i with weights normalized to 1."""
-    if len(weights) != len(member_probs):
-        raise ValueError(f"{len(weights)} weights for {len(member_probs)} member distributions")
+    check_weights(weights, len(member_probs))
     w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("ensemble weights must be positive")
     w = w / w.sum()
     return sum(wi * np.asarray(p, dtype=float) for wi, p in zip(w, member_probs))
 
@@ -48,10 +69,7 @@ class EnsembleSpec:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.members) != len(self.weights):
-            raise ValueError("one weight per member required")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("ensemble weights must be positive")
+        check_weights(self.weights, len(self.members))
 
     def predict_proba(self, X: CsrMatrix) -> np.ndarray:
         return vote_proba(self.weights, [m.predict_proba(X) for m in self.members])
@@ -65,6 +83,9 @@ class MetaSpec:
     ensemble1: EnsembleSpec  # trained on original data
     ensemble2: EnsembleSpec  # trained on oversampled data
     weights: tuple[float, float]
+
+    def __post_init__(self):
+        check_weights(self.weights, 2)
 
     def predict_proba(self, X: CsrMatrix) -> np.ndarray:
         return vote_proba(

@@ -16,10 +16,8 @@ from emojivote.classifiers import (
     _sigmoid,
     rf_predict_proba,
 )
-from emojivote.cli import SELECTORS
-from emojivote.cli import _select as select
 from emojivote.corpus import RawCorpus
-from emojivote.ensemble import EnsembleSpec, MetaSpec, build_meta
+from emojivote.ensemble import SELECTORS, EnsembleSpec, MetaSpec, build_meta, select
 from emojivote.features import (
     CsrMatrix,
     FeatureConfig,

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emojivote
 import lr_oracle
 from emojivote.classifiers import (
     LrConfig,
@@ -90,6 +96,26 @@ class TestFit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lr_fit(dataset_from_dense(np.zeros((0, 2)), [], 2))
+
+    def test_fit_does_not_import_numpy_ma(self):
+        # numpy 2's np.unique imports numpy.ma on its first call, which costs
+        # every `train` process the import.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from emojivote.classifiers import lr_fit\n"
+            "from emojivote.features import LabeledDataset\n"
+            "d = LabeledDataset(indptr=np.array([0, 1, 2]), indices=np.array([0, 1]),\n"
+            "                   data=np.array([1.0, 2.0]), dimension=2,\n"
+            "                   labels=np.array([0, 1]), num_classes=2)\n"
+            "lr_fit(d)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(emojivote.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPredict:

@@ -94,7 +94,8 @@ class TestTrain:
     @pytest.mark.parametrize("command", ["train", "resample"])
     @pytest.mark.parametrize(
         "flag", [["--trees", "0"], ["--alpha", "0"], ["--l2", "-1"], ["--min-df", "0"],
-                 ["--smote-k", "0"]]
+                 ["--smote-k", "0"], ["--alpha", "nan"], ["--alpha", "inf"], ["--l2", "nan"],
+                 ["--base-weights", "nan,1,1"], ["--meta-weights", "inf,1"]]
     )
     def test_invalid_model_flag_is_usage_error(self, toy_files, tmp_path, capsys, command, flag):
         argv = [command, str(toy_files / "t.txt"), str(toy_files / "l.txt"), "-k", "3"] + flag
@@ -293,6 +294,12 @@ class TestStatsAndResample:
         assert out[0] == "0: 2 (66.67%)"
         assert out[1] == "1: 1 (33.33%)"
         assert out[2] == "2: 0 (0.00%)"
+
+    @pytest.mark.parametrize("flag", [["--alpha", "1"], ["--trees", "3"]])
+    def test_resample_rejects_model_flags(self, toy_files, capsys, flag):
+        argv = ["resample", str(toy_files / "t.txt"), str(toy_files / "l.txt"), "-k", "3"] + flag
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_resample_stats(self, toy_files, capsys):
         rc = main(["resample", str(toy_files / "t.txt"), str(toy_files / "l.txt"),

@@ -54,8 +54,9 @@ class TestVoteProba:
             vote_proba((1, 1, 1), [np.array([1.0])])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            vote_proba((1, 0), [np.array([1.0]), np.array([1.0])])
+        for bad in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                vote_proba((1, bad), [np.array([1.0]), np.array([1.0])])
 
     @given(
         st.lists(st.floats(0.1, 10.0), min_size=2, max_size=4),
@@ -117,6 +118,14 @@ class TestPredict:
         meta = MetaSpec(ensemble1=e1, ensemble2=e2, weights=(4.0, 1.0))
         assert meta.predict_proba(None) == pytest.approx([0.42, 0.58])
         assert meta.predict(None) == 1
+
+    @pytest.mark.parametrize("weights", [(1.0,), (float("inf"), 1.0), (1.0, float("nan")), (0.0, 1.0)])
+    def test_meta_weights_checked_at_construction(self, weights):
+        e = EnsembleSpec(members=(FixedModel([0.3, 0.7]),), weights=(1.0,))
+        with pytest.raises(ValueError):
+            MetaSpec(ensemble1=e, ensemble2=e, weights=weights)
+        with pytest.raises(ValueError):
+            EnsembleSpec(members=(e, e), weights=weights)
 
 
 class TestBuild:
