@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ensemble import MetaSpec
+from .ensemble import MetaSpec, check_weights
 from .exceptions import (
     ArchiveChecksumError,
     ArchiveError,
@@ -130,4 +130,10 @@ def archive_load(path) -> ModelArchive:
         raise ArchiveError(f"{path}: a section does not unpickle: {exc!r}") from exc
     if not (isinstance(vocabulary, Vocabulary) and isinstance(model, MetaSpec)):
         raise ArchiveError(f"{path}: sections are not a vocabulary and a model")
+    try:  # unpickling skips the specs' __post_init__, which checks their weights
+        check_weights(model.weights, 2)
+        for base in (model.ensemble1, model.ensemble2):
+            check_weights(base.weights, len(base.members))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"{path}: bad vote weights: {exc}") from exc
     return ModelArchive(language, policy, vocabulary, model, metadata)

@@ -128,10 +128,38 @@ class LrModel:
         return lr_predict_proba(self, X)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows
-    out = e + 1.0  # and reused: in the fit, each fresh (n, k) temporary may be faulted in anew
-    return np.divide(np.where(z >= 0, 1.0, e), out, out=out)
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """exp(-|z|), which never overflows."""
+    e = np.abs(z)
+    return np.exp(np.negative(e, out=e), out=e)
+
+
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) from e = exp(-|z|), which is computed if not given."""
+    if e is None:
+        e = _exp_neg_abs(z)
+    out = e + 1.0
+    # where(z >= 0, 1, e) without a branch per entry, since e <= 1
+    return np.divide(np.maximum(e, z >= 0), out, out=out)
+
+
+def _mean_loss(Z: np.ndarray, S: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Mean logistic loss along the last axis of logits Z, given label signs S
+
+    (-1 where the label is the class, +1 elsewhere) and e = exp(-|Z|): the
+    loss of a margin m = S*Z is log(1 + e^m) = max(m, 0) + log(1 + e^-|m|).
+    """
+    loss = np.multiply(Z, S)
+    np.maximum(loss, 0.0, out=loss)
+    loss += np.log1p(e)
+    return loss.mean(axis=-1)
+
+
+def _residuals(Z: np.ndarray, e: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sigmoid(Z) - Y, the loss's derivative in each logit, given e = exp(-|Z|)."""
+    R = _sigmoid(Z, e)
+    R -= Y
+    return R
 
 
 def lr_objective(w: np.ndarray, b, X: np.ndarray, y01: np.ndarray, lam: float):
@@ -139,19 +167,15 @@ def lr_objective(w: np.ndarray, b, X: np.ndarray, y01: np.ndarray, lam: float):
 
     free); for a (V, k) stack w, (k,) b and (n, k) y01, that of each column.
     """
-    m = X @ w  # becomes -(2y - 1) z, the logit against the label
-    m += b
-    np.negative(m, out=m, where=y01 == 1.0)
-    loss = np.maximum(m, 0.0)  # plus log(1 + e^-|m|): log(1 + e^m) without overflow
-    np.log1p(np.exp(np.negative(np.abs(m, out=m), out=m), out=m), out=m)  # in place, as in _sigmoid
-    loss += m
-    return loss.mean(axis=0) + 0.5 * lam * (w * w).sum(axis=0)
+    Z = (X @ w + b).T
+    return _mean_loss(Z, 1.0 - 2.0 * y01.T, _exp_neg_abs(Z)) + 0.5 * lam * (w * w).sum(axis=0)
 
 
 def lr_gradient(w: np.ndarray, b, X: np.ndarray, y01: np.ndarray, lam: float):
     """(gradient in w, gradient in b) of lr_objective, column by column for a stack."""
-    resid = _sigmoid(X @ w + b) - y01
-    return X.T @ resid / len(y01) + lam * w, resid.mean(axis=0)
+    Z = (X @ w + b).T
+    R = _residuals(Z, _exp_neg_abs(Z), y01.T)
+    return (R @ X).T / len(y01) + lam * w, R.mean(axis=-1)
 
 
 def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
@@ -161,6 +185,11 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     backtracking search per class (shrink 0.5, slope factor 1e-4). A class
     stops when its gradient norm falls below the tolerance, or when no step
     above 1e-16 decreases its objective enough.
+
+    Class-major: the weights W are (k, V) and the logits Z = W X^T + b are
+    (k, n), so the elementwise passes run along rows. Each line-search trial
+    computes its logits exactly with one product and one exp; the accepted
+    trial's Z and exp(-|Z|) are kept, so the next gradient needs only R X.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit logistic regression on an empty dataset")
@@ -169,29 +198,40 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     n, V, k, lam = len(dataset), dataset.dimension, dataset.num_classes, cfg.l2_strength
     X = np.zeros((n, V))
     X[dataset.row_ids(), dataset.indices] = dataset.data
-    Y = (dataset.labels[:, None] == np.arange(k)).astype(float)
-    W, b = np.zeros((V, k)), np.zeros(k)
-    obj = lr_objective(W, b, X, Y, lam)
+    Y = (np.arange(k)[:, None] == dataset.labels).astype(float)
+    S = 1.0 - 2.0 * Y  # label signs
+    W, b = np.zeros((k, V)), np.zeros(k)
+    Z, E = np.zeros((k, n)), np.ones((k, n))  # the logits at zero, and exp(-|Z|)
+    obj = _mean_loss(Z, S, E)
     active = np.arange(k)  # the classes still descending
     for _ in range(cfg.max_iters):
-        gW, gb = lr_gradient(W[:, active], b[active], X, Y[:, active], lam)
-        gnorm_sq = (gW * gW).sum(axis=0) + gb * gb
+        R = _residuals(Z[active], E[active], Y[active])
+        gW = R @ X
+        gW /= n
+        gW += lam * W[active]
+        gb = R.mean(axis=1)
+        gnorm_sq = (gW * gW).sum(axis=1) + gb * gb
         moving = ~(np.sqrt(gnorm_sq) < cfg.tolerance)
-        active, gW, gb, gnorm_sq = active[moving], gW[:, moving], gb[moving], gnorm_sq[moving]
+        active, gW, gb, gnorm_sq = active[moving], gW[moving], gb[moving], gnorm_sq[moving]
         step = np.ones(len(active))
         trying = np.arange(len(active))  # positions in active still searching
         while trying.size:
             c, s = active[trying], step[trying]
-            W_try, b_try = W[:, c] - s * gW[:, trying], b[c] - s * gb[trying]
-            obj_try = lr_objective(W_try, b_try, X, Y[:, c], lam)
+            W_try, b_try = W[c] - s[:, None] * gW[trying], b[c] - s * gb[trying]
+            Z_try = W_try @ X.T
+            Z_try += b_try[:, None]
+            E_try = _exp_neg_abs(Z_try)
+            obj_try = _mean_loss(Z_try, S[c], E_try) + 0.5 * lam * (W_try * W_try).sum(axis=1)
             ok = obj_try <= obj[c] - 1e-4 * s * gnorm_sq[trying]
-            W[:, c[ok]], b[c[ok]], obj[c[ok]] = W_try[:, ok], b_try[ok], obj_try[ok]
+            done = c[ok]
+            W[done], b[done], obj[done] = W_try[ok], b_try[ok], obj_try[ok]
+            Z[done], E[done] = Z_try[ok], E_try[ok]
             step[trying[~ok]] *= 0.5
             trying = trying[~ok & (step[trying] > 1e-16)]
         active = active[step > 1e-16]  # a class with no productive step stops there
         if not active.size:
             break
-    return LrModel(weights=W.T.copy(), intercepts=b, dimension=V, num_classes=k)
+    return LrModel(weights=W, intercepts=b, dimension=V, num_classes=k)
 
 
 @_batched

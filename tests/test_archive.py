@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -201,3 +203,24 @@ class TestMalformedSections:
         text.write_text("w1 w2\n")
         assert main(["predict", str(tmp_path / "m.bin"), str(text)]) == 2
         assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, weights", [
+    ("meta", (float("nan"), 1.0)),
+    ("ensemble1", (1.5, float("inf"), 1.0)),
+    ("ensemble2", (1.5, 6.0, 0.0)),
+])
+def test_bad_vote_weight_is_an_archive_error(trained_archive, tmp_path, capsys, part, weights):
+    # Unpickling skips __post_init__, so archive_load checks the weights itself.
+    meta = copy.copy(trained_archive.model)
+    spec = meta if part == "meta" else copy.copy(getattr(meta, part))
+    object.__setattr__(spec, "weights", weights)
+    if spec is not meta:
+        object.__setattr__(meta, part, spec)
+    archive_save(dataclasses.replace(trained_archive, model=meta), tmp_path / "m.bin")
+    with pytest.raises(ArchiveError, match="weights"):
+        archive_load(tmp_path / "m.bin")
+    text = tmp_path / "t.txt"
+    text.write_text("w1 w2\n")
+    assert main(["predict", str(tmp_path / "m.bin"), str(text)]) == 2
+    assert "internal error" not in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -218,7 +219,44 @@ class TestOracle:
             assert not m.weights[:2].any() and not m.intercepts[:2].any()
             assert m.weights[2].any()
 
+    def test_products_above_the_blas_threading_threshold(self):
+        # m·n·k = 20·40·400 = 320,000 is above the 262,144 at which OpenBLAS's
+        # dgemm goes multithreaded; every other case runs single-threaded. At
+        # this tolerance some classes stop before max_iters and the rest are capped.
+        rng = np.random.default_rng(11)
+        X = rng.poisson(0.5, size=(400, 40)).astype(float)
+        labels = [int(c) for c in rng.integers(0, 20, 400)]
+        cfg = LrConfig(max_iters=60, tolerance=0.01)
+        assert_matches_oracle(dataset_from_dense(X, labels, 20), cfg)
+
     def test_single_iteration(self):
         rng = np.random.default_rng(8)
         d = dataset_from_dense(rng.poisson(1.0, size=(30, 4)), [i % 3 for i in range(30)], 3)
         assert_matches_oracle(d, LrConfig(max_iters=1))
+
+
+def test_two_products_per_iteration(monkeypatch):
+    # Each iteration does one gradient product R·X, and each line-search trial
+    # one logit product W·Xᵀ and one exp; no logit is computed twice.
+    rng = np.random.default_rng(3)
+    n, V = 40, 5
+    d = dataset_from_dense(rng.poisson(1.0, size=(n, V)), [i % 3 for i in range(n)], 3)
+    calls = collections.Counter()
+
+    class Counted(np.ndarray):  # the fit's dense X, counting the products it enters
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls["gradient" if inputs[1].shape == (n, V) else "logits"] += 1
+            plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    def counted_zeros(shape, *args, **kwargs):
+        out = zeros(shape, *args, **kwargs)
+        return out.view(Counted) if shape == (n, V) else out
+
+    zeros, exp = np.zeros, np.exp
+    monkeypatch.setattr(np, "zeros", counted_zeros)
+    monkeypatch.setattr(np, "exp", lambda *a, **kw: calls.update(["exp"]) or exp(*a, **kw))
+    lr_fit(d, LrConfig(max_iters=7, tolerance=1e-12))
+    assert calls["gradient"] == 7
+    assert calls["logits"] == calls["exp"] >= 7
