@@ -178,6 +178,11 @@ def lr_gradient(w: np.ndarray, b, X: np.ndarray, y01: np.ndarray, lam: float):
     return (R @ X).T / len(y01) + lam * w, R.mean(axis=-1)
 
 
+def _take(A: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """A[at] for increasing row numbers `at`; A itself, not a copy, when `at` is every row."""
+    return A if len(at) == len(A) else A[at]
+
+
 def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     """One binary L2-regularized problem per class (one-vs-rest), all solved
 
@@ -205,27 +210,32 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     obj = _mean_loss(Z, S, E)
     active = np.arange(k)  # the classes still descending
     for _ in range(cfg.max_iters):
-        R = _residuals(Z[active], E[active], Y[active])
+        R = _residuals(_take(Z, active), _take(E, active), _take(Y, active))
         gW = R @ X
         gW /= n
-        gW += lam * W[active]
+        gW += lam * _take(W, active)
         gb = R.mean(axis=1)
         gnorm_sq = (gW * gW).sum(axis=1) + gb * gb
         moving = ~(np.sqrt(gnorm_sq) < cfg.tolerance)
-        active, gW, gb, gnorm_sq = active[moving], gW[moving], gb[moving], gnorm_sq[moving]
+        if not moving.all():
+            active, gW, gb, gnorm_sq = active[moving], gW[moving], gb[moving], gnorm_sq[moving]
         step = np.ones(len(active))
         trying = np.arange(len(active))  # positions in active still searching
         while trying.size:
             c, s = active[trying], step[trying]
-            W_try, b_try = W[c] - s[:, None] * gW[trying], b[c] - s * gb[trying]
+            W_try, b_try = _take(W, c) - s[:, None] * _take(gW, trying), b[c] - s * gb[trying]
             Z_try = W_try @ X.T
             Z_try += b_try[:, None]
             E_try = _exp_neg_abs(Z_try)
-            obj_try = _mean_loss(Z_try, S[c], E_try) + 0.5 * lam * (W_try * W_try).sum(axis=1)
+            obj_try = _mean_loss(Z_try, _take(S, c), E_try)
+            obj_try += 0.5 * lam * (W_try * W_try).sum(axis=1)
             ok = obj_try <= obj[c] - 1e-4 * s * gnorm_sq[trying]
-            done = c[ok]
-            W[done], b[done], obj[done] = W_try[ok], b_try[ok], obj_try[ok]
-            Z[done], E[done] = Z_try[ok], E_try[ok]
+            if len(c) == k and ok.all():  # every class moves: keep the trial's arrays
+                W, b, obj, Z, E = W_try, b_try, obj_try, Z_try, E_try
+            else:
+                done = c[ok]
+                W[done], b[done], obj[done] = W_try[ok], b_try[ok], obj_try[ok]
+                Z[done], E[done] = Z_try[ok], E_try[ok]
             step[trying[~ok]] *= 0.5
             trying = trying[~ok & (step[trying] > 1e-16)]
         active = active[step > 1e-16]  # a class with no productive step stops there
@@ -290,10 +300,11 @@ class RfModel:
 # 5 trees at about 150-200.
 FORK_MIN_ROW_TREES = 900
 
-# A lockstep step scores at most this many entries (a node's gathered entries
-# plus one zero stand-in per candidate) together, unless one node alone holds
-# more. Scoring takes about 200 bytes of scratch per entry. At or below 2**15,
-# a step's candidate keys fit in int16, which numpy sorts by radix.
+# A lockstep step gathers and scores at most this many entries (those its
+# nodes read, from their rows or their candidates' columns, a bound on those
+# they keep, plus one zero stand-in per candidate) together, unless one node
+# alone reads more. Scoring takes about 200 bytes of scratch per entry. At or
+# below 2**15, a step's candidate keys fit in int16, which numpy sorts by radix.
 STEP_ENTRIES = 1 << 15
 
 
@@ -322,6 +333,18 @@ def _entries(indptr: np.ndarray, ids: np.ndarray):
     return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """A mask of the places where a run of equal values in `a` begins."""
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = a[1:] != a[:-1]
+    return starts
+
+
+def _sort_keys(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Keys in [0, bound), as int16 where they fit, which numpy sorts by radix."""
+    return keys.astype(np.int16) if bound <= 1 << 15 else keys
+
+
 def _renumber(arrays, sizes: list, trees: list) -> tuple:
     """Packed arrays (feature, threshold, left, right, counts, roots) made of
 
@@ -341,8 +364,9 @@ def _renumber(arrays, sizes: list, trees: list) -> tuple:
 class _Search:
     """A node to split: its tree (rng, stack, nodes), its record in the tree's
 
-    nodes, its sample rows, class totals and candidate features, and once
-    gathered, its entries.
+    nodes, its sample rows, class totals and candidate features, whether it
+    reads its entries from the candidates' columns (else from its rows), and
+    how many entries that path reads, an upper bound on those it keeps.
     """
 
     tree: tuple
@@ -350,27 +374,32 @@ class _Search:
     rows: np.ndarray
     totals: np.ndarray
     candidates: np.ndarray
-    entries: tuple | None = None
+    by_columns: bool
+    reads: int
 
 
 class _TreeGrower:
     """Grows the trees of one forest from the training rows (CSR), their
 
-    columns (the transposed CSR) and the labels, with scratch arrays that each
-    node sets and resets. A node is the sorted array of its sample rows,
-    bootstrap duplicates included; the order of a node's rows never changes
-    its split, so sorting only makes duplicates adjacent.
+    columns (the transposed CSR) and the labels. A node is the sorted array
+    of its sample rows, bootstrap duplicates included; the order of a node's
+    rows never changes its split, so sorting only makes duplicates adjacent.
     """
 
     def __init__(self, X: CsrMatrix, y: np.ndarray, k: int, cfg: RfConfig):
         n, V = len(X), X.dimension
         self.X, self.columns, self.k, self.cfg = X, X.transpose(), k, cfg
         self.labels = np.append(y, k)  # row n is the zero stand-in, of no class
-        self.row_nnz, self.col_nnz = np.diff(X.indptr), np.diff(self.columns.indptr)
+        self.row_nnz = X.indptr[1:] - X.indptr[:-1]
+        self.col_nnz = self.columns.indptr[1:] - self.columns.indptr[:-1]
         max_feats = cfg.max_features if cfg.max_features is not None else math.ceil(math.sqrt(V))
         self.max_feats = min(max_feats, V)
-        self.slot = np.full(V, -1)  # a feature's place among the node's candidates, else -1
-        self.copies = np.zeros(n, dtype=np.intp)  # a row's number of copies in the node
+        # Scratch that each gather sets and resets, for the p-th node of a step that reads
+        # rows or columns (a step holds at most one node of each tree): slot[p * V + f] is
+        # 1 + the g of feature f among the node's candidates, else 0; copies[p * n + r] is
+        # the number of copies of row r in the node. Both stay far below 2**31.
+        self.slot = np.zeros(cfg.n_trees * V, dtype=np.int32)
+        self.copies = np.zeros(cfg.n_trees * n, dtype=np.int32)
         self.x = np.zeros(n + 1)  # the split feature's value in each row
 
     def grow(self, trees) -> tuple:
@@ -380,8 +409,9 @@ class _TreeGrower:
         from (seed, t). Each tree grows from its own explicit stack, left child
         before right, so its nodes are numbered and its RNG drawn in preorder.
         The trees grow in lockstep: each step takes the next node to split
-        from each tree in turn, while the step's entries stay within
-        STEP_ENTRIES, and scores them all at once.
+        from each tree in turn, while the entries its nodes read, plus one
+        stand-in per candidate, stay within STEP_ENTRIES; it gathers all
+        their entries at once and scores them all at once.
         """
         cfg, n = self.cfg, len(self.X)
         forest, queue = [], collections.deque()  # queue: each unfinished tree's next _Search
@@ -395,14 +425,11 @@ class _TreeGrower:
         while queue:
             step, size = [], 0
             while queue:
-                search = queue[0]
-                if search.entries is None:
-                    search.entries = self._gather(search.rows, search.candidates)
-                size += len(search.entries[0]) + self.max_feats
+                size += queue[0].reads + self.max_feats
                 if step and size > STEP_ENTRIES:
                     break
                 step.append(queue.popleft())
-            for search, split in zip(step, self._best_splits(step)):
+            for search, split in zip(step, self._best_splits(step, self._gather(step))):
                 if split is not None:
                     (f, threshold, go_left), record, rows = split, search.record, search.rows
                     record[0], record[1], record[4] = f, threshold, np.zeros(self.k)
@@ -430,46 +457,72 @@ class _TreeGrower:
             nodes.append([-1, 0.0, -1, -1, totals.astype(float)])
             if np.count_nonzero(totals) > 1 and len(rows) >= 2 * self.cfg.min_samples_leaf:
                 candidates = rng.choice(self.X.dimension, size=self.max_feats, replace=False)
-                return [_Search(tree, nodes[-1], rows, totals, candidates)]
+                by_rows, by_columns = self.row_nnz[rows].sum(), self.col_nnz[candidates].sum()
+                columns = self._reads_columns(by_rows, by_columns)
+                reads = by_columns if columns else by_rows
+                return [_Search(tree, nodes[-1], rows, totals, candidates, columns, reads)]
         return []
 
-    def _gather(self, rows, candidates):
-        """The candidates' entries in the node, from the node's rows or from the
+    def _reads_columns(self, by_rows: int, by_columns: int) -> bool:
+        """Whether a node reads its candidates' columns rather than its rows,
 
-        candidates' columns, whichever holds fewer entries.
+        given the entries each holds: it reads whichever holds fewer.
         """
-        if self.col_nnz[candidates].sum() < self.row_nnz[rows].sum():
-            return self._column_entries(rows, candidates)
-        return self._row_entries(rows, candidates)
+        return by_columns < by_rows
 
-    def _row_entries(self, rows, candidates):
-        """(candidate place, value, row, weight) of the candidates' entries in
+    def _gather(self, step: list) -> tuple:
+        """(g, value, row, weight) of the step's nodes' entries in their
 
-        the node, read from the node's rows: one entry per copy of a row, so
-        the weight is None (1 each).
+        candidates, where g = i * F + j for candidate j of node i: those of
+        the nodes that read rows, then those of the nodes that read columns.
         """
+        candidates = np.array([search.candidates for search in step])  # (N, F)
+        by_columns = np.array([search.by_columns for search in step])
+        parts = []
+        for read, nodes in (self._row_entries, ~by_columns), (self._column_entries, by_columns):
+            nodes = nodes.nonzero()[0]
+            if nodes.size:
+                parts.append(read(step, nodes, candidates))
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def _row_entries(self, step, nodes, candidates) -> tuple:
+        """The entries of the given nodes read from their rows, each looked up
+
+        by (p, feature) among the candidates, where p is its node's place in
+        `nodes`: one entry per copy of a row, each of weight 1.
+        """
+        V, F = self.X.dimension, self.max_feats
+        place, rows = np.arange(len(nodes)) * V, [step[i].rows for i in nodes]
+        cells = (place[:, None] + candidates[nodes]).ravel()
+        self.slot[cells] = (nodes[:, None] * F + np.arange(1, F + 1)).ravel()
+        place = np.repeat(place, [len(r) for r in rows])  # each row's
+        rows = np.concatenate(rows)
         owner, pos = _entries(self.X.indptr, rows)
-        self.slot[candidates] = np.arange(len(candidates))
-        cand = self.slot[self.X.indices[pos]]
-        self.slot[candidates] = -1
-        keep = np.flatnonzero(cand >= 0)
-        return cand[keep], self.X.data[pos[keep]], rows[owner[keep]], None
+        g = self.slot[place[owner] + self.X.indices[pos]]
+        self.slot[cells] = 0
+        keep = g.nonzero()[0]
+        return g[keep] - 1, self.X.data[pos[keep]], rows[owner[keep]], np.ones(len(keep), np.intp)
 
-    def _column_entries(self, rows, candidates):
-        """The same entries read from the candidates' columns, each once, its
+    def _column_entries(self, step, nodes, candidates) -> tuple:
+        """The same entries read from the given nodes' candidates' columns,
 
-        weight the number of copies of its row in the node.
+        each once, its weight the number of copies of its row in the node,
+        looked up by (p, row).
         """
-        first = np.flatnonzero(np.diff(rows, prepend=-1))  # rows are sorted
-        self.copies[rows[first]] = np.diff(first, append=len(rows))
-        cand, pos = _entries(self.columns.indptr, candidates)
+        n, F = len(self.X), self.max_feats
+        place, rows = np.arange(len(nodes)) * n, [step[i].rows for i in nodes]
+        cells = np.repeat(place, [len(r) for r in rows]) + np.concatenate(rows)
+        first = _run_starts(cells).nonzero()[0]  # rows are sorted: a row's copies are a run
+        self.copies[cells[first]] = np.append(first[1:], len(cells)) - first
+        owner, pos = _entries(self.columns.indptr, candidates[nodes].ravel())  # owner: p * F + j
         row = self.columns.indices[pos]
-        weight = self.copies[row]
-        self.copies[rows[first]] = 0
-        keep = np.flatnonzero(weight)
-        return cand[keep], self.columns.data[pos[keep]], row[keep], weight[keep]
+        weight = self.copies[np.repeat(place, F)[owner] + row]
+        self.copies[cells[first]] = 0
+        keep = weight.nonzero()[0]
+        g = (nodes[:, None] * F + np.arange(F)).ravel()[owner[keep]]
+        return g, self.columns.data[pos[keep]], row[keep], weight[keep]
 
-    def _best_splits(self, step: list) -> list:
+    def _best_splits(self, step: list, entries: tuple) -> list:
         """Each searched node's (feature, threshold, goes-left mask over its
 
         rows) of least weighted Gini impurity, or None. Node i's candidate j is
@@ -478,27 +531,21 @@ class _TreeGrower:
         its nonzeros, then one segment per distinct nonzero value. Every
         boundary of every node is scored at once, from running sums over each
         g; in each node the first least one in (candidate, value) order wins.
+        The step's entries are _gather's (g, value, row, weight).
         """
         N, F, k, n = len(step), self.max_feats, self.k, len(self.X)
         G = N * F
-        cand, value, owner, weight = zip(*(search.entries for search in step))
-        sizes = [len(c) for c in cand]
         totals = np.array([search.totals for search in step])  # (N, k)
         # A zero-valued stand-in (owner n, of class k, weight 0) heads each g's entries.
-        g = np.repeat(np.arange(N) * F, sizes) + np.concatenate(cand)
-        g = np.concatenate([np.arange(G), g])
-        value = np.concatenate([np.zeros(G), *value])
-        owner = np.concatenate([np.full(G, n), *owner])
-        w = np.zeros(len(g), dtype=np.intp)
-        w[G:] = np.concatenate([np.ones(s, np.intp) if u is None else u for s, u in zip(sizes, weight)])
+        stand_ins = np.arange(G), np.zeros(G), np.full(G, n), np.zeros(G, np.intp)
+        g, value, owner, w = (np.concatenate(pair) for pair in zip(stand_ins, entries))
         order = np.argsort(value, kind="stable")  # then by g, stably
-        g_key = g.astype(np.int16 if G <= 1 << 15 else np.intp)
-        order = order[np.argsort(g_key[order], kind="stable")]
+        order = order[np.argsort(_sort_keys(g[order], G), kind="stable")]
         g, value, owner, w = g[order], value[order], owner[order], w[order]
-        heads = np.flatnonzero(owner == n)  # each g's first entry, its stand-in
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = (g[1:] != g[:-1]) | (value[1:] != value[:-1])
-        first = np.flatnonzero(new)  # each segment's first entry
+        heads = (owner == n).nonzero()[0]  # each g's first entry, its stand-in
+        new = _run_starts(g)
+        new[1:] |= value[1:] != value[:-1]
+        first = new.nonzero()[0]  # each segment's first entry
         last = np.append(first[1:], len(g)) - 1  # and its last
         seg_g = g[first]
         # Each g's class totals, and its zero segment's class counts (column k: stand-ins).
@@ -508,10 +555,10 @@ class _TreeGrower:
         zero = T - np.bincount(key, w, G * (k + 1)).astype(np.intp).reshape(G, k + 1)
         # L: the count of each entry's class left of it in its g, zero segment included,
         # a running sum per (g, class).
-        by_class = np.argsort(key, kind="stable")
+        by_class = np.argsort(_sort_keys(key, G * (k + 1)), kind="stable")
         before = np.cumsum(w[by_class]) - w[by_class]
-        group = np.flatnonzero(np.diff(key[by_class], prepend=-1))
-        before -= np.repeat(before[group], np.diff(group, append=len(key)))
+        group = _run_starts(key[by_class])
+        before -= before[group.nonzero()[0]][np.cumsum(group) - 1]
         L = np.empty_like(before)
         L[by_class] = before
         L += zero.ravel()[key]
@@ -529,9 +576,8 @@ class _TreeGrower:
         sq_right = (T * T).sum(axis=1)[seg_g] - 2 * dot + sq_left  # sum of (T - left)**2
         # An empty zero segment puts no sample on the left, so it is never a boundary.
         min_leaf = self.cfg.min_samples_leaf
-        boundary = np.flatnonzero(
-            (np.diff(seg_g) == 0) & (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
-        )
+        boundary = (seg_g[1:] == seg_g[:-1]) & (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
+        boundary = boundary.nonzero()[0]
         splits = [None] * N
         if boundary.size == 0:
             return splits
@@ -540,10 +586,10 @@ class _TreeGrower:
         gini = lambda sq, n: 1.0 - sq / n**2
         impurity = (nl * gini(sq_left, nl) + nr * gini(sq_right, nr)) / (nl + nr)
         node = seg_g[boundary] // F
-        starts = np.flatnonzero(np.diff(node, prepend=-1))  # each node's first boundary
-        least = np.minimum.reduceat(impurity, starts)
-        hits = np.flatnonzero(impurity == np.repeat(least, np.diff(starts, append=len(node))))
-        best = boundary[hits[np.diff(node[hits], prepend=-1) != 0]]  # each node's first least
+        starts = _run_starts(node)  # each node's first boundary
+        least = np.minimum.reduceat(impurity, starts.nonzero()[0])
+        hits = (impurity == least[np.cumsum(starts) - 1]).nonzero()[0]
+        best = boundary[hits[_run_starts(node[hits])]]  # each node's first least
         lo, hi = value[first[best]], value[first[best + 1]]
         mid = (lo + hi) / 2.0
         thresholds = np.where(mid < hi, mid, lo)  # the midpoint may round up to hi if adjacent

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emojivote
+import fit_oracle
 import lr_oracle
 from emojivote.classifiers import (
     LrConfig,
@@ -233,6 +234,36 @@ class TestOracle:
         rng = np.random.default_rng(8)
         d = dataset_from_dense(rng.poisson(1.0, size=(30, 4)), [i % 3 for i in range(30)], 3)
         assert_matches_oracle(d, LrConfig(max_iters=1))
+
+
+def assert_same_fit(dataset, cfg):
+    model, reference = lr_fit(dataset, cfg), fit_oracle.lr_fit(dataset, cfg)
+    assert np.array_equal(model.weights, reference.weights)
+    assert np.array_equal(model.intercepts, reference.intercepts)
+
+
+class TestSameAsCopyingLoop:
+    """lr_fit, which reads whole blocks in place while every class is active,
+
+    gives bit for bit the weights of the loop that copied them (fit_oracle.py).
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=lr_cases())
+    def test_small_datasets(self, case):
+        assert_same_fit(*case)
+
+    def test_classes_stop_early(self):
+        # As in TestOracle: some classes stop before max_iters, the rest are capped.
+        rng = np.random.default_rng(11)
+        X = rng.poisson(0.5, size=(400, 40)).astype(float)
+        labels = [int(c) for c in rng.integers(0, 20, 400)]
+        assert_same_fit(dataset_from_dense(X, labels, 20), LrConfig(max_iters=60, tolerance=0.01))
+
+    @pytest.mark.parametrize("l2", [0.0, 1.0])
+    def test_stalled_line_search(self, l2):
+        X = np.array([[1e9, 0], [1e9, 1], [1e9, 0], [0, 1], [0, 2], [0, 1.0]])
+        assert_same_fit(dataset_from_dense(X, [0, 0, 1, 2, 2, 1], 3), LrConfig(l2_strength=l2))
 
 
 def test_two_products_per_iteration(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 import signal
@@ -21,6 +22,7 @@ from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig, smote
 
 from helpers import csr_from_dense, csr_from_rows, dataset_from_dense, skewed_corpus, with_labels
+import fit_oracle
 from rf_oracle import TreeNode, oracle_fit, pack
 
 ARRAYS = ("feature", "threshold", "left", "right", "counts", "roots")
@@ -241,11 +243,9 @@ def force(mp, gather=None, workers=None):
 
     and grow its forest in up to `workers` processes however small it is.
     """
-    grower = classifiers._TreeGrower
-    if gather == "rows":
-        mp.setattr(grower, "_column_entries", grower._row_entries)
-    elif gather == "columns":
-        mp.setattr(grower, "_row_entries", grower._column_entries)
+    if gather is not None:
+        forced = lambda self, by_rows, by_columns: gather == "columns"
+        mp.setattr(classifiers._TreeGrower, "_reads_columns", forced)
     if workers is not None:
         mp.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
         mp.setattr(classifiers, "_usable_cpus", lambda: workers)
@@ -271,10 +271,10 @@ def record_steps(mp, steps: list):
     """Append (the trees of its nodes, its entries) for every step scored from now on."""
     best_splits = classifiers._TreeGrower._best_splits
 
-    def recording(self, step):
-        size = sum(len(search.entries[0]) + self.max_feats for search in step)
+    def recording(self, step, entries):
+        size = len(entries[0]) + len(step) * self.max_feats
         steps.append(([id(search.tree) for search in step], size))
-        return best_splits(self, step)
+        return best_splits(self, step, entries)
 
     mp.setattr(classifiers._TreeGrower, "_best_splits", recording)
 
@@ -323,6 +323,107 @@ class TestLockstep:
                 forests.append(rf_fit(d, cfg))
         assert max(len(trees) for trees, _ in steps) * 2000 > 2**15
         assert_same_forest(*forests)
+
+
+def weighted(entries) -> collections.Counter:
+    """(candidate place, value, row) -> total weight, of gathered entries."""
+    cand, value, row, weight = entries
+    weight = np.ones(len(cand), np.intp) if weight is None else weight
+    out = collections.Counter()
+    for key, w in zip(zip(cand.tolist(), value.tolist(), row.tolist()), weight.tolist()):
+        out[key] += w
+    return out
+
+
+@st.composite
+def gather_steps(draw):
+    """A dataset (maybe with empty columns) and a step of 1 to 4 nodes, each
+
+    a sorted sample of its rows with duplicates, F distinct candidates and
+    a gather path.
+    """
+    V = draw(st.integers(1, 8))
+    count = st.sampled_from([1.0, 2.0, 0.5]) | st.integers(1, 400).map(lambda i: i / 97)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, V - 1), count), min_size=1, max_size=12))
+    dataset = with_labels(csr_from_rows([sorted(r.items()) for r in rows], V), [0] * len(rows), 2)
+    F, n = draw(st.integers(1, V)), len(rows)
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        sample = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        candidates = draw(st.permutations(range(V)))[:F]
+        nodes.append((np.sort(sample), np.array(candidates), draw(st.booleans())))
+    return dataset, F, nodes
+
+
+class TestStepGather:
+    """One step's gather gives each node the entries, as (candidate, value,
+
+    row) with row-path duplicates counted as weight, that each per-node
+    gather it replaced (fit_oracle.py) gives it, and resets its scratch.
+    """
+
+    def assert_gathers_like_oracle(self, dataset, F, nodes):
+        cfg = RfConfig(n_trees=len(nodes), max_features=F)
+        grower = classifiers._TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg)
+        step = [classifiers._Search(None, None, rows, None, candidates, by_columns, 0)
+                for rows, candidates, by_columns in nodes]
+        g, value, row, weight = grower._gather(step)
+        for i, (rows, candidates, _) in enumerate(nodes):
+            mine = g // F == i
+            got = weighted((g[mine] % F, value[mine], row[mine], weight[mine]))
+            assert got == weighted(fit_oracle.row_entries(dataset, rows, candidates))
+            assert got == weighted(fit_oracle.column_entries(dataset.transpose(), rows, candidates))
+        assert not grower.slot.any() and not grower.copies.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=gather_steps())
+    def test_small_steps(self, case):
+        self.assert_gathers_like_oracle(*case)
+
+    def test_steps_past_int16_candidate_keys(self):
+        # 20 nodes of 2,000 candidates each, most of whose columns are empty.
+        rng = np.random.default_rng(5)
+        dense = rng.integers(0, 3, size=(40, 2000)) * (rng.random((40, 2000)) < 0.01)
+        d = dataset_from_dense(dense.astype(float), [0] * 40, 2)
+        sample = lambda: np.sort(rng.integers(0, 40, 40))
+        nodes = [(sample(), rng.permutation(2000), i % 2 == 0) for i in range(20)]
+        self.assert_gathers_like_oracle(d, 2000, nodes)
+
+    def test_each_node_reads_the_smaller_path(self):
+        _, d = vectorize_corpus(
+            skewed_corpus(300, seed=11), AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=2)
+        )
+        d = smote(d, SmoteConfig(seed=0))
+        row_nnz, col_nnz = np.diff(d.indptr), np.bincount(d.indices, minlength=d.dimension)
+        paths, gather = [], classifiers._TreeGrower._gather
+
+        def recording(self, step):
+            for search in step:
+                by_rows, by_columns = row_nnz[search.rows].sum(), col_nnz[search.candidates].sum()
+                assert search.by_columns == (by_columns < by_rows)
+                assert search.reads == min(by_rows, by_columns)
+            paths.append({search.by_columns for search in step})
+            return gather(self, step)
+
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, workers=1)
+            mp.setattr(classifiers._TreeGrower, "_gather", recording)
+            rf_fit(d, RfConfig(n_trees=5, seed=3))
+        assert {True, False} in paths  # some steps mix the two paths
+
+    @pytest.mark.parametrize("gather", ["rows", "columns"])
+    def test_force_reads_one_path(self, gather):
+        calls = collections.Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, gather, workers=1)
+            for name in ("_row_entries", "_column_entries"):
+                def counted(self, *args, read=getattr(classifiers._TreeGrower, name), name=name):
+                    calls[name] += 1
+                    return read(self, *args)
+
+                mp.setattr(classifiers._TreeGrower, name, counted)
+            rf_fit(make_consistent_dataset(seed=1), RfConfig(n_trees=3, seed=1))
+        assert set(calls) == {"_row_entries" if gather == "rows" else "_column_entries"}
 
 
 def record_forks(monkeypatch) -> list[int]:
