@@ -17,14 +17,10 @@ from .classifiers import (
     rf_predict_proba,
 )
 from .corpus import (
-    ClassDistribution,
     LabelMapping,
     RawCorpus,
-    class_distribution,
     load_corpus,
     load_mapping,
-    majority_class,
-    save_corpus,
 )
 from .ensemble import (
     EnsembleSpec,

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ensemble import MetaSpec, check_weights
+from .ensemble import MetaSpec
 from .exceptions import (
     ArchiveChecksumError,
     ArchiveError,
@@ -103,7 +103,10 @@ def archive_save(archive: ModelArchive, path) -> None:
 
 
 def archive_load(path) -> ModelArchive:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise ArchiveError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(blob) < len(MAGIC) + 1 + _CHECKSUM_LEN:
         raise ArchiveTruncatedError(f"{path}: too short to be a model archive")
     body, digest = blob[:-_CHECKSUM_LEN], blob[-_CHECKSUM_LEN:]
@@ -124,16 +127,10 @@ def archive_load(path) -> ModelArchive:
         metadata = header["metadata"]
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, a key missing, a bad policy
         raise ArchiveError(f"{path}: malformed header: {exc!r}") from exc
-    try:
+    try:  # a vote checks its weights as it unpickles
         vocabulary, model = pickle.loads(sections[1]), pickle.loads(sections[2])
     except Exception as exc:  # unpickling raises almost any type, as pickle's docs warn
         raise ArchiveError(f"{path}: a section does not unpickle: {exc!r}") from exc
     if not (isinstance(vocabulary, Vocabulary) and isinstance(model, MetaSpec)):
         raise ArchiveError(f"{path}: sections are not a vocabulary and a model")
-    try:  # unpickling skips the specs' __post_init__, which checks their weights
-        check_weights(model.weights, 2)
-        for base in (model.ensemble1, model.ensemble2):
-            check_weights(base.weights, len(base.members))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ArchiveError(f"{path}: bad vote weights: {exc}") from exc
     return ModelArchive(language, policy, vocabulary, model, metadata)

@@ -7,7 +7,6 @@ fit works on real-valued count sums.
 """
 
 import collections
-import functools
 import math
 import os
 import pickle
@@ -19,16 +18,10 @@ import numpy as np
 from .features import CsrMatrix, LabeledDataset
 
 
-def _batched(predict_proba):
-    """Check that a batch's dimension is the model's."""
-
-    @functools.wraps(predict_proba)
-    def wrapper(model, X):
-        if X.dimension != model.dimension:
-            raise ValueError(f"input dimension {X.dimension} != model dimension {model.dimension}")
-        return predict_proba(model, X)
-
-    return wrapper
+def _check_dimension(model, X: CsrMatrix) -> None:
+    """Raise ValueError unless a batch's dimension is the model's."""
+    if X.dimension != model.dimension:
+        raise ValueError(f"input dimension {X.dimension} != model dimension {model.dimension}")
 
 
 def _linear_scores(bias: np.ndarray, weights: np.ndarray, X: CsrMatrix) -> np.ndarray:
@@ -90,8 +83,8 @@ def mnb_fit(dataset: LabeledDataset, cfg: MnbConfig = MnbConfig()) -> MnbModel:
     )
 
 
-@_batched
 def mnb_predict_proba(model: MnbModel, X: CsrMatrix) -> np.ndarray:
+    _check_dimension(model, X)
     scores = _linear_scores(model.log_priors, model.log_likelihoods, X)
     scores -= scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
@@ -244,8 +237,8 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     return LrModel(weights=W, intercepts=b, dimension=V, num_classes=k)
 
 
-@_batched
 def lr_predict_proba(model: LrModel, X: CsrMatrix) -> np.ndarray:
+    _check_dimension(model, X)
     s = _sigmoid(_linear_scores(model.intercepts, model.weights, X))
     return s / s.sum(axis=1, keepdims=True)
 
@@ -269,6 +262,8 @@ class RfConfig:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.max_features is not None and self.max_features < 1:
             raise ValueError("max_features must be >= 1 (or None)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -690,7 +685,7 @@ def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg)
     workers = _worker_count(cfg.n_trees, len(dataset))
     shares = np.array_split(np.arange(cfg.n_trees), workers)
-    parts = _grow_in_workers(grower, shares) if workers > 1 else [grower.grow(shares[0])]
+    parts = _grow_in_workers(grower, shares)
     arrays = map(np.concatenate, zip(*parts))
     sizes = [len(part[0]) for part in parts]
     k = dataset.num_classes
@@ -702,7 +697,6 @@ def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
 RF_BLOCK_ROWS = 256
 
 
-@_batched
 def rf_predict_proba(model: RfModel, X: CsrMatrix) -> np.ndarray:
     """Mean leaf distribution over the trees, RF_BLOCK_ROWS rows at a time.
 
@@ -712,6 +706,7 @@ def rf_predict_proba(model: RfModel, X: CsrMatrix) -> np.ndarray:
     (row, tree) walks of the block advance one level per step, each reading
     x[row, f] as table[row, column[f]].
     """
+    _check_dimension(model, X)
     n, T, k = len(X), len(model.roots), model.num_classes
     out = np.empty((n, k))
     column = np.zeros(X.dimension + 1, dtype=np.intp)  # column[-1] stays 0

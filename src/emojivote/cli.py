@@ -9,6 +9,7 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .corpus import (
     LabelMapping,
     RawCorpus,
     _read_lines,
-    class_distribution,
     load_corpus,
     load_mapping,
 )
@@ -114,6 +114,8 @@ def cmd_train(args) -> int:
         meta_weights = _weights(args.meta_weights, LANGUAGE_META_WEIGHTS[args.lang], "--meta-weights")
     if args.split is not None and not 0 < args.split < 1:
         raise UsageError(f"--split must be between 0 and 1 (exclusive), got {args.split}")
+    if not Path(args.out).parent.is_dir():
+        raise DataError(f"-o {args.out}: no directory {Path(args.out).parent}")
     policy = AsciiPolicy(args.ascii_policy)
     corpus = load_corpus(args.text, args.labels, args.classes)
     test_corpus = None
@@ -227,10 +229,12 @@ def cmd_resample(args) -> int:
 
 def cmd_stats(args) -> int:
     corpus = load_corpus(args.text, args.labels, args.classes)
-    dist = class_distribution(corpus)
-    order = sorted(range(corpus.num_classes), key=lambda c: (-dist.counts[c], c))
+    if len(corpus) == 0:
+        raise DataError("cannot compute a class distribution of an empty corpus")
+    counts = np.bincount(corpus.labels, minlength=corpus.num_classes).tolist()
+    order = sorted(range(corpus.num_classes), key=lambda c: (-counts[c], c))
     for c in order:
-        print(f"{c}: {dist.counts[c]} ({dist.fractions[c] * 100:.2f}%)")
+        print(f"{c}: {counts[c]} ({counts[c] / len(corpus) * 100:.2f}%)")
     return 0
 
 

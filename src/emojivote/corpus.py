@@ -1,11 +1,10 @@
-"""Tweet corpus loading, label mappings, and class-distribution statistics.
+"""Tweet corpus loading and label mappings.
 
 File formats: one tweet per line (UTF-8, LF); labels in a parallel file,
 one integer per line; mapping file lines are "<index>\\t<display string>".
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .exceptions import DataError
 
@@ -58,16 +57,14 @@ class LabelMapping:
         return cls([(i, str(i)) for i in range(k)])
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    counts: list[int]
-    fractions: list[float]
-
-
 def _read_lines(path) -> list[str]:
-    # newline="" so CR bytes survive and can be rejected explicitly
-    with open(path, encoding="utf-8", newline="") as fh:
-        raw = fh.read()
+    try:  # newline="" so CR bytes survive and can be rejected explicitly
+        with open(path, encoding="utf-8", newline="") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if not raw:
         return []
     lines = raw.split("\n")
@@ -100,12 +97,6 @@ def load_corpus(text_path, label_path, k: int) -> RawCorpus:
     return RawCorpus(texts=texts, labels=labels, num_classes=k)
 
 
-def save_corpus(corpus: RawCorpus, text_path, label_path) -> None:
-    """Write a corpus back out in the line-based format (round-trip inverse of load)."""
-    Path(text_path).write_text("".join(t + "\n" for t in corpus.texts), encoding="utf-8")
-    Path(label_path).write_text("".join(f"{l}\n" for l in corpus.labels), encoding="utf-8")
-
-
 def load_mapping(path) -> LabelMapping:
     entries = []
     for i, line in enumerate(_read_lines(path)):
@@ -117,21 +108,3 @@ def load_mapping(path) -> LabelMapping:
         except ValueError:
             raise DataError(f"{path}: unparseable index at line {i + 1}")
     return LabelMapping(entries)
-
-
-def class_distribution(corpus: RawCorpus) -> ClassDistribution:
-    """Per-class counts and fractions over the corpus."""
-    if len(corpus) == 0:
-        raise DataError("cannot compute a class distribution of an empty corpus")
-    counts = [0] * corpus.num_classes
-    for lab in corpus.labels:
-        counts[lab] += 1
-    total = len(corpus)
-    return ClassDistribution(counts=counts, fractions=[c / total for c in counts])
-
-
-def majority_class(dist: ClassDistribution) -> int:
-    """Argmax of class counts; ties broken by smallest index."""
-    if all(c == 0 for c in dist.counts):
-        raise DataError("all class counts are zero")
-    return max(range(len(dist.counts)), key=lambda j: (dist.counts[j], -j))

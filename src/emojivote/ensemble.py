@@ -63,13 +63,15 @@ def vote_proba(weights, member_probs) -> np.ndarray:
     return sum(wi * np.asarray(p, dtype=float) for wi, p in zip(w, member_probs))
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    members: tuple
-    weights: tuple[float, ...]
+class _Vote:
+    """A weighted soft vote over `members`, each with a `predict_proba`."""
 
     def __post_init__(self):
         check_weights(self.weights, len(self.members))
+
+    def __setstate__(self, state):  # unpickling and copying skip __init__: check here too
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def predict_proba(self, X: CsrMatrix) -> np.ndarray:
         return vote_proba(self.weights, [m.predict_proba(X) for m in self.members])
@@ -78,22 +80,23 @@ class EnsembleSpec:
         return np.argmax(self.predict_proba(X), axis=-1)
 
 
+# The two levels stay two classes: each keeps its own pickled fields, so
+# archives load as before, and a vote's level can be told by its class.
 @dataclass(frozen=True)
-class MetaSpec:
+class EnsembleSpec(_Vote):
+    members: tuple
+    weights: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class MetaSpec(_Vote):
     ensemble1: EnsembleSpec  # trained on original data
     ensemble2: EnsembleSpec  # trained on oversampled data
     weights: tuple[float, float]
 
-    def __post_init__(self):
-        check_weights(self.weights, 2)
-
-    def predict_proba(self, X: CsrMatrix) -> np.ndarray:
-        return vote_proba(
-            self.weights, [self.ensemble1.predict_proba(X), self.ensemble2.predict_proba(X)]
-        )
-
-    def predict(self, X: CsrMatrix) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=-1)
+    @property
+    def members(self) -> tuple[EnsembleSpec, EnsembleSpec]:
+        return (self.ensemble1, self.ensemble2)
 
 
 def build_base_ensemble(

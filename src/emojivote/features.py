@@ -104,17 +104,13 @@ class LabeledDataset(CsrMatrix):
             raise ValueError("entry counts must be positive and finite")
 
 
-def _is_bigram(feature: str) -> bool:
-    return " " in feature
-
-
 def build_vocabulary(bags: list[Counter], cfg: FeatureConfig) -> Vocabulary:
     """Retain features appearing in >= min_df distinct bags, indexed lexicographically."""
     df: Counter = Counter()
     for bag in bags:
         df.update(set(bag))
     kept = sorted(feat for feat, n in df.items() if n >= cfg.min_df)
-    num_bigrams = sum(1 for f in kept if _is_bigram(f))
+    num_bigrams = sum(1 for f in kept if " " in f)
     return Vocabulary(
         index_to_feature=kept,
         feature_to_index={f: i for i, f in enumerate(kept)},

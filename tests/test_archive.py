@@ -211,7 +211,7 @@ class TestMalformedSections:
     ("ensemble2", (1.5, 6.0, 0.0)),
 ])
 def test_bad_vote_weight_is_an_archive_error(trained_archive, tmp_path, capsys, part, weights):
-    # Unpickling skips __post_init__, so archive_load checks the weights itself.
+    # A vote checks its weights as it unpickles, so a bad one fails the load.
     meta = copy.copy(trained_archive.model)
     spec = meta if part == "meta" else copy.copy(getattr(meta, part))
     object.__setattr__(spec, "weights", weights)

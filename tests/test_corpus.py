@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emojivote.corpus import (
-    ClassDistribution,
-    LabelMapping,
-    RawCorpus,
-    class_distribution,
-    load_corpus,
-    load_mapping,
-    majority_class,
-    save_corpus,
-)
+from emojivote.cli import main
+from emojivote.corpus import LabelMapping, RawCorpus, load_corpus, load_mapping
 from emojivote.exceptions import DataError
 
 
@@ -58,48 +50,36 @@ class TestLoadCorpus:
             load_corpus(tmp_path / "t.txt", tmp_path / "l.txt", k=2)
 
 
+def stats(tmp_path, labels, k):
+    """Run `stats` on a corpus with these labels; returns its exit code."""
+    write(tmp_path / "t.txt", [f"tweet {i}" for i in range(len(labels))])
+    write(tmp_path / "l.txt", [str(l) for l in labels])
+    return main(["stats", str(tmp_path / "t.txt"), str(tmp_path / "l.txt"), "-k", str(k)])
+
+
 class TestClassDistribution:
-    def test_counts_and_fractions(self):
-        c = RawCorpus(["a", "b", "c"], [0, 0, 1], 2)
-        d = class_distribution(c)
-        assert d.counts == [2, 1]
-        assert d.fractions == pytest.approx([2 / 3, 1 / 3])
+    """The class counts and fractions that `stats` prints, most frequent first."""
 
-    def test_degenerate_single_class(self):
-        d = class_distribution(RawCorpus(["a", "b"], [0, 0], 2))
-        assert d.fractions == [1.0, 0.0]
+    def test_counts_and_fractions(self, tmp_path, capsys):
+        assert stats(tmp_path, [0, 0, 1], 2) == 0
+        assert capsys.readouterr().out.splitlines() == ["0: 2 (66.67%)", "1: 1 (33.33%)"]
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(DataError):
-            class_distribution(RawCorpus([], [], 2))
+    def test_degenerate_single_class(self, tmp_path, capsys):
+        assert stats(tmp_path, [0, 0], 2) == 0
+        assert capsys.readouterr().out.splitlines() == ["0: 2 (100.00%)", "1: 0 (0.00%)"]
 
-    def test_fractions_sum_to_one(self):
-        d = class_distribution(RawCorpus(list("abcdefg"), [0, 1, 2, 1, 0, 2, 2], 4))
-        assert abs(sum(d.fractions) - 1.0) < 1e-9
+    def test_empty_corpus_rejected(self, tmp_path, capsys):
+        assert stats(tmp_path, [], 2) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: cannot compute a class distribution of an empty corpus" in captured.err
 
-
-class TestMajorityClass:
-    def test_argmax(self):
-        assert majority_class(ClassDistribution([2, 5, 1], [0.25, 0.625, 0.125])) == 1
-
-    def test_tie_breaks_low(self):
-        assert majority_class(ClassDistribution([3, 3], [0.5, 0.5])) == 0
-
-    def test_single_nonzero(self):
-        assert majority_class(ClassDistribution([0, 0, 7], [0, 0, 1.0])) == 2
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DataError):
-            majority_class(ClassDistribution([0, 0], [0.0, 0.0]))
-
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=8), st.integers(2, 9))
-    def test_scale_invariant(self, counts, scale):
-        if all(c == 0 for c in counts):
-            counts[0] = 1
-        total = sum(counts)
-        d1 = ClassDistribution(counts, [c / total for c in counts])
-        d2 = ClassDistribution([c * scale for c in counts], [c / total for c in counts])
-        assert majority_class(d1) == majority_class(d2)
+    def test_fractions_sum_to_one(self, tmp_path, capsys):
+        assert stats(tmp_path, [0, 1, 2, 1, 0, 2, 2], 4) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split(":")[0] for l in lines] == ["2", "0", "1", "3"]
+        percents = [float(l.split("(")[1].rstrip("%)")) for l in lines]
+        assert abs(sum(percents) - 100.0) <= 0.005 * len(lines)
 
 
 class TestLabelMapping:
@@ -132,7 +112,6 @@ tweet_text = st.text(
 def test_round_trip(tmp_path_factory, pairs):
     tmp = tmp_path_factory.mktemp("rt")
     corpus = RawCorpus([t for t, _ in pairs], [l for _, l in pairs], 4)
-    save_corpus(corpus, tmp / "t.txt", tmp / "l.txt")
-    reloaded = load_corpus(tmp / "t.txt", tmp / "l.txt", 4)
-    assert reloaded == corpus
-    assert sum(class_distribution(reloaded).counts) == len(pairs) if pairs else True
+    write(tmp / "t.txt", corpus.texts)
+    write(tmp / "l.txt", [str(l) for l in corpus.labels])
+    assert load_corpus(tmp / "t.txt", tmp / "l.txt", 4) == corpus

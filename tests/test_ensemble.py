@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,6 +130,16 @@ class TestPredict:
             MetaSpec(ensemble1=e, ensemble2=e, weights=weights)
         with pytest.raises(ValueError):
             EnsembleSpec(members=(e, e), weights=weights)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+    def test_weights_checked_when_copied(self, copier):
+        e = EnsembleSpec(members=(FixedModel([0.3, 0.7]),), weights=(1.0,))
+        meta = MetaSpec(ensemble1=e, ensemble2=e, weights=(4.0, 1.0))
+        assert copier(meta).predict_proba(None) == pytest.approx(meta.predict_proba(None))
+        for vote in (e, meta):
+            object.__setattr__(vote, "weights", (0.0,) * len(vote.weights))
+            with pytest.raises(ValueError, match="positive and finite"):
+                copier(vote)
 
 
 class TestBuild:
