@@ -21,6 +21,7 @@ from .exceptions import (
     ArchiveError,
     ArchiveTruncatedError,
     ArchiveVersionError,
+    DataError,
 )
 from .features import Vocabulary
 from .preprocess import AsciiPolicy
@@ -58,14 +59,27 @@ class _Reader:
         return self.take(length)
 
 
+def check_output_path(path) -> Path:
+    """`path` as a Path; a DataError naming it unless its directory exists
+
+    and it is not a directory itself.
+    """
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"{path}: is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"{path}: no directory {path.parent}")
+    return path
+
+
 @contextmanager
 def atomic_file(path, mode: str = "w+b", **kwargs):
     """A temp file beside `path` that replaces it when the block succeeds and
 
     is removed when the block fails, so `path` is never left half written.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    path = check_output_path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh

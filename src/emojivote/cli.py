@@ -9,11 +9,10 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
-from .archive import ModelArchive, archive_load, archive_save, atomic_file
+from .archive import ModelArchive, archive_load, archive_save, atomic_file, check_output_path
 from .classifiers import LrConfig, MnbConfig, RfConfig
 from .corpus import (
     LabelMapping,
@@ -114,8 +113,7 @@ def cmd_train(args) -> int:
         meta_weights = _weights(args.meta_weights, LANGUAGE_META_WEIGHTS[args.lang], "--meta-weights")
     if args.split is not None and not 0 < args.split < 1:
         raise UsageError(f"--split must be between 0 and 1 (exclusive), got {args.split}")
-    if not Path(args.out).parent.is_dir():
-        raise DataError(f"-o {args.out}: no directory {Path(args.out).parent}")
+    check_output_path(args.out)
     policy = AsciiPolicy(args.ascii_policy)
     corpus = load_corpus(args.text, args.labels, args.classes)
     test_corpus = None
@@ -178,6 +176,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.out:
+        check_output_path(args.out)
     ar = archive_load(args.model)
     texts = _read_lines(args.text)
     lines = []
@@ -197,6 +197,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    for path in filter(None, (args.report, args.matrix)):
+        check_output_path(path)
     ar = archive_load(args.model)
     k = select(ar.model, "mnb").num_classes
     gold_corpus = load_corpus(args.text, args.gold, k)

@@ -106,9 +106,7 @@ class LabeledDataset(CsrMatrix):
 
 def build_vocabulary(bags: list[Counter], cfg: FeatureConfig) -> Vocabulary:
     """Retain features appearing in >= min_df distinct bags, indexed lexicographically."""
-    df: Counter = Counter()
-    for bag in bags:
-        df.update(set(bag))
+    df = Counter(chain.from_iterable(bags))  # a bag holds each gram once, so counts are bags
     kept = sorted(feat for feat, n in df.items() if n >= cfg.min_df)
     num_bigrams = sum(1 for f in kept if " " in f)
     return Vocabulary(

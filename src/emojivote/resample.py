@@ -10,9 +10,12 @@ import numpy as np
 from .exceptions import DataError
 from .features import CsrMatrix, LabeledDataset
 
-# Rows per k-NN block: each block's scratch arrays hold KNN_BLOCK x class
-# size distances, so memory stays bounded however large a class grows.
-KNN_BLOCK = 64
+# Columns of a class's dense k-NN table: its most frequent ones, whose dot
+# products BLAS sums; the rest are summed pair by pair.
+FREQUENT_COLUMNS = 64
+# Distances per k-NN block (query rows x class rows): bounds each block's
+# scratch arrays however large a class grows.
+KNN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,39 +53,56 @@ def plan_resample(dataset: LabeledDataset) -> ResamplePlan:
     )
 
 
-def nearest_neighbors(points: CsrMatrix, k: int) -> list[list[int]]:
-    """All-pairs k-NN by Euclidean distance, self excluded, ties broken by
+def nearest_neighbors(points: CsrMatrix, k: int, first: int | None = None) -> list[list[int]]:
+    """The k-NN lists of the first `first` rows (default all) among all rows,
 
-    lower row index. Squared distances are |a|^2 + |b|^2 - 2 a.b, taken
-    KNN_BLOCK rows at a time; the block's dot products are summed over the
-    (block entry, class entry) pairs that share a feature, so only nonzeros
-    are read. On integer counts every term is an exact float64, so the
-    distances equal the sums of squared differences bit for bit.
+    by Euclidean distance, self excluded, ties broken by lower row index.
+    Squared distances are |a|^2 + |b|^2 - 2 a.b, for KNN_CELLS // n query rows
+    (at least one) at a time. The dot products over the FREQUENT_COLUMNS most
+    frequent columns are one BLAS product of dense tables; over the other
+    columns they are summed over the (query entry, row entry) pairs that share
+    a column, so only those nonzeros are read. Exact ties need integer counts,
+    which every caller passes: then every product and partial sum is an exact
+    float64, whatever order BLAS sums in, and the distances equal the sums of
+    squared differences bit for bit.
     """
     n = len(points)
     k = min(k, n)  # past n - 1, a row's own index comes last
     rows = points.row_ids()
     # astype: bincount returns integers when there are no entries at all
     sq_norms = np.bincount(rows, weights=points.data**2, minlength=n).astype(float)
-    columns = points.transpose()  # for each feature, the rows holding it
+    by_frequency = np.argsort(np.bincount(points.indices, minlength=points.dimension))
+    frequent = by_frequency[max(0, points.dimension - FREQUENT_COLUMNS) :]
+    slot = np.full(points.dimension, -1)
+    slot[frequent] = np.arange(len(frequent))
+    slots = slot[points.indices]
+    rest = slots < 0
+    table = np.zeros((n, len(frequent)))
+    table[rows[~rest], slots[~rest]] = points.data[~rest]
+    tail_indptr = np.concatenate(([0], np.cumsum(rest)))[points.indptr]
+    tail = CsrMatrix(tail_indptr, points.indices[rest], points.data[rest], points.dimension)
+    tail_rows, columns = rows[rest], tail.transpose()  # for each column, the rows holding it
+    queried = n if first is None else min(first, n)
+    step = max(1, KNN_CELLS // n)
     out = []
-    for start in range(0, n, KNN_BLOCK):
-        stop = min(start + KNN_BLOCK, n)
-        lo, hi = points.indptr[start], points.indptr[stop]
-        pairs = columns.take(points.indices[lo:hi])
+    for start in range(0, queried, step):
+        stop = min(start + step, queried)
+        gram = table[start:stop] @ table.T
+        lo, hi = tail.indptr[start], tail.indptr[stop]
+        pairs = columns.take(tail.indices[lo:hi])
         entry = pairs.row_ids()
-        cells = (rows[lo:hi][entry] - start) * n + pairs.indices
-        products = points.data[lo:hi][entry] * pairs.data
-        gram = np.bincount(cells, weights=products, minlength=(stop - start) * n)
+        cells = (tail_rows[lo:hi][entry] - start) * n + pairs.indices
+        products = tail.data[lo:hi][entry] * pairs.data
+        gram += np.bincount(cells, weights=products, minlength=gram.size).reshape(gram.shape)
         del pairs, entry, cells, products  # else alive while the next block builds its own
-        d2 = sq_norms[start:stop, None] + sq_norms - 2 * gram.reshape(stop - start, n)
+        d2 = sq_norms[start:stop, None] + sq_norms - 2 * gram
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # Sort only entries at or below each row's k-th distance, stably: ties to the lower index.
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
         row, col = np.nonzero(d2 <= kth)
         order = np.lexsort((d2[row, col], row))
-        first = np.searchsorted(row[order], np.arange(stop - start))
-        out.extend(col[order][first[:, None] + np.arange(k)].tolist())
+        first_entry = np.searchsorted(row[order], np.arange(stop - start))
+        out.extend(col[order][first_entry[:, None] + np.arange(k)].tolist())
     return out
 
 
@@ -108,6 +128,44 @@ def _interpolate(
     return CsrMatrix(indptr, index[keep], values[keep], V)
 
 
+def _bulk_draws(rng, k: int, quota: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """What `quota` rounds of `rng.integers(k)` then `rng.random()` return,
+
+    as (picks, gaps), taken in bulk from the PCG64 words those calls read, or
+    None if a call would have drawn again. `random()` reads a fresh word w and
+    returns (w >> 11) * 2^-53. `integers(1)` reads nothing. For k >= 2,
+    `integers(k)` reads 32 bits x, the low half of a fresh word and, on the
+    next call, that word's high half, and returns (x k) >> 32 (Lemire's
+    method); so two rounds read three words. It draws again when
+    (x k) mod 2^32 < (2^32 - k) mod k, with probability below k / 2^32.
+    """
+    if k == 1:
+        gaps = (rng.bit_generator.random_raw(quota) >> 11) * 2.0**-53
+        return np.zeros(quota, dtype=np.intp), gaps
+    # rows 2j and 2j + 1 read words 3j (halves), 3j + 1 and 3j + 2 (gaps); an odd quota one spare
+    words = rng.bit_generator.random_raw(3 * ((quota + 1) // 2)).reshape(-1, 3)
+    halves = np.stack([words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32], axis=1).ravel()[:quota]
+    scaled = halves * np.uint64(k)
+    if np.any((scaled & 0xFFFFFFFF) < (2**32 - k) % k):
+        return None
+    return (scaled >> 32).astype(np.intp), (words[:, 1:].ravel()[:quota] >> 11) * 2.0**-53
+
+
+def _draws(seed: list[int], k: int, quota: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor picks and gaps of `quota` rounds of `rng.integers(k)` then
+
+    `rng.random()`, for rng = np.random.default_rng(seed).
+    """
+    bulk = _bulk_draws(np.random.default_rng(seed), k, quota)
+    if bulk is not None:
+        return bulk
+    rng = np.random.default_rng(seed)  # a draw was rejected: make the calls one by one
+    picks, gaps = np.empty(quota, dtype=np.intp), np.empty(quota)
+    for s in range(quota):
+        picks[s], gaps[s] = rng.integers(k), rng.random()
+    return picks, gaps
+
+
 def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledDataset:
     """Original rows verbatim, followed by synthetic rows grouped by class.
 
@@ -126,20 +184,16 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
             continue
         members = np.flatnonzero(dataset.labels == c)
         n_c = len(members)
-        rng = np.random.default_rng([cfg.seed, c])
         labels.append(np.full(quota, c, dtype=np.intp))
         if n_c == 1:
             parts.append(dataset.take(np.repeat(members, quota)))
             continue
         points = dataset.take(members)
-        knn = nearest_neighbors(points, min(cfg.k_neighbors, n_c - 1))
-        neighbors = np.empty(quota, dtype=np.intp)
-        gaps = np.empty(quota)
-        for s in range(quota):
-            candidates = knn[s % n_c]
-            neighbors[s] = candidates[rng.integers(len(candidates))]
-            gaps[s] = rng.random()
-        parts.append(_interpolate(points, np.arange(quota) % n_c, neighbors, gaps))
+        k = min(cfg.k_neighbors, n_c - 1)
+        knn = np.array(nearest_neighbors(points, k, min(quota, n_c)), dtype=np.intp)
+        parents = np.arange(quota) % n_c
+        picks, gaps = _draws([cfg.seed, c], k, quota)
+        parts.append(_interpolate(points, parents, knn[parents, picks], gaps))
     indptr = np.zeros(sum(map(len, parts)) + 1, dtype=np.intp)
     np.cumsum(np.concatenate([np.diff(p.indptr) for p in parts]), out=indptr[1:])
     indices = np.concatenate([p.indices for p in parts])

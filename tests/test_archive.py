@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from emojivote.exceptions import (
     ArchiveError,
     ArchiveTruncatedError,
     ArchiveVersionError,
+    DataError,
 )
 from emojivote.features import FeatureConfig, vectorize_corpus
 from emojivote.corpus import RawCorpus
@@ -74,6 +76,14 @@ class TestRoundTrip:
         archive_save(trained_archive, tmp_path / "a.bin")
         archive_save(trained_archive, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_unwritable_path_is_a_data_error_naming_it(self, trained_archive, tmp_path, where):
+        path = tmp_path / "missing" / "m.bin" if where == "missing directory" else tmp_path
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            archive_save(trained_archive, path)
+        assert sorted(tmp_path.iterdir()) == before  # no temporary file left behind
 
     def test_streamed_file_equals_concatenated_layout(self, trained_archive, tmp_path):
         # magic, version, three length-prefixed sections, then the SHA-256 of all that

@@ -357,6 +357,26 @@ def test_unreadable_input_is_data_error(trained_model, toy_files, tmp_path, caps
     assert err.startswith(f"data error: {bad}: ")
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "-o"), ("predict", "-o"), ("evaluate", "--report"), ("evaluate", "--matrix"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_output_fails_before_any_work(trained_model, toy_files, tmp_path, capsys, command, flag, where):
+    out = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+    before = sorted(tmp_path.iterdir())
+    text, labels, model = str(toy_files / "t.txt"), str(toy_files / "l.txt"), str(trained_model)
+    argv = {
+        "train": ["train", text, labels, "-k", "3"] + TRAIN_FLAGS,
+        "predict": ["predict", model, text],
+        "evaluate": ["evaluate", model, text, labels],
+    }[command] + [flag, str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: {out}: ")
+    assert captured.out == ""  # nothing was read, fitted or scored first
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_no_command_imports_numpy_ma(toy_files, tmp_path):
     # Importing numpy.ma costs a process 11-18 ms and about 1.6 MB of peak RSS.
     text, labels, model = str(toy_files / "t.txt"), str(toy_files / "l.txt"), str(tmp_path / "m.bin")

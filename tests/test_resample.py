@@ -1,15 +1,18 @@
 from collections import Counter
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emojivote import resample
 from emojivote.exceptions import DataError
 from emojivote.resample import (
-    KNN_BLOCK,
     ResamplePlan,
     SmoteConfig,
+    _bulk_draws,
     _interpolate,
     nearest_neighbors,
     plan_resample,
@@ -19,6 +22,23 @@ from emojivote.resample import (
 from helpers import csr_from_dense, csr_from_rows, dataset_from_dense, rows_of, same, to_dense, with_labels
 from smote_oracle import nearest_neighbors as oracle_nearest_neighbors
 from smote_oracle import smote as oracle_smote
+
+
+# Oracle tests patch the k-NN down to this budget, under which a class of
+# 3 * BLOCK_ROWS rows gets BLOCK_ROWS query rows per block, and to
+# SMALL_FREQUENT dense columns, so that their few columns still leave a
+# pair-summed tail.
+BLOCK_ROWS = 16
+SMALL_CELLS = 3 * BLOCK_ROWS**2
+SMALL_FREQUENT = 2
+
+
+@contextmanager
+def small_knn(frequent=SMALL_FREQUENT, cells=SMALL_CELLS):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resample, "FREQUENT_COLUMNS", frequent)
+        mp.setattr(resample, "KNN_CELLS", cells)
+        yield
 
 
 def skewed_dataset(seed=0, counts=(12, 5, 2), V=4):
@@ -68,7 +88,8 @@ class TestNearestNeighbors:
             n = int(rng.integers(2, 50))
             pts = rng.integers(0, 3, size=(n, 3)).astype(float)
             k = int(rng.integers(1, n))
-            got = nearest_neighbors(csr_from_dense(pts), k)
+            with small_knn(frequent=1):
+                got = nearest_neighbors(csr_from_dense(pts), k)
             for i in range(n):
                 dists = sorted(
                     (float(((pts[j] - pts[i]) ** 2).sum()), j) for j in range(n) if j != i
@@ -80,6 +101,22 @@ class TestNearestNeighbors:
         for lst in nearest_neighbors(csr_from_dense(pts), 2):
             assert len(lst) == 2
         assert 0 not in nearest_neighbors(csr_from_dense(pts), 2)[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 40),
+        frequent=st.sampled_from([0, 1, 2, 64]),
+        cells=st.sampled_from([1, 7, SMALL_CELLS, 1 << 16]),
+        data=st.data(),
+    )
+    def test_first_rows_are_a_prefix(self, seed, n, frequent, cells, data):
+        rng = np.random.default_rng(seed)
+        points = csr_from_dense(rng.poisson(0.7, size=(n, 4)).astype(float))
+        k = data.draw(st.integers(1, n + 1), label="k")
+        first = data.draw(st.integers(0, n + 2), label="first")
+        with small_knn(frequent, cells):
+            assert nearest_neighbors(points, k, first) == nearest_neighbors(points, k)[:first]
 
 
 class TestSmote:
@@ -166,16 +203,23 @@ class TestOracle:
     """smote and nearest_neighbors equal the dense versions they replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(case=count_datasets())
-    def test_small_datasets(self, case):
+    @given(
+        case=count_datasets(),
+        frequent=st.sampled_from([0, 1, SMALL_FREQUENT, 64]),
+        cells=st.sampled_from([1, SMALL_CELLS, 1 << 16]),
+    )
+    def test_small_datasets(self, case, frequent, cells):
         dataset, cfg = case
-        assert same(smote(dataset, cfg), oracle_smote(dataset, cfg))
+        with small_knn(frequent, cells):
+            assert same(smote(dataset, cfg), oracle_smote(dataset, cfg))
 
     @pytest.mark.parametrize("counts, k", [
         ((4, 4, 4), 5),  # already balanced
         ((9, 1, 1), 5),  # singleton classes
         ((12, 3, 2), 7),  # k at least the class size
-        ((3 * KNN_BLOCK, 2 * KNN_BLOCK + 7, 5), 5),  # a class larger than two k-NN blocks
+        # class 1 has 3 * BLOCK_ROWS rows, and its 2 * BLOCK_ROWS + 7 parents
+        # take more than two k-NN blocks
+        ((5 * BLOCK_ROWS + 7, 3 * BLOCK_ROWS, 5), 5),
     ])
     def test_edge_cases(self, counts, k):
         rng = np.random.default_rng(len(counts) + k)
@@ -184,7 +228,15 @@ class TestOracle:
         X = rng.poisson(0.6, size=(len(labels), 6)).astype(float)
         d = dataset_from_dense(X, labels, len(counts))
         cfg = SmoteConfig(k_neighbors=k, seed=3)
-        assert same(smote(d, cfg), oracle_smote(d, cfg))
+        with small_knn():
+            assert same(smote(d, cfg), oracle_smote(d, cfg))
+
+    def test_rejected_draw_falls_back_to_row_by_row(self, monkeypatch):
+        monkeypatch.setattr(resample, "_bulk_draws", lambda rng, k, quota: None)
+        for seed, k in [(0, 1), (1, 3), (2, 5), (3, 7)]:
+            d = skewed_dataset(seed=seed, counts=(15, 6, 3, 1, 9))
+            cfg = SmoteConfig(k_neighbors=k, seed=seed)
+            assert same(smote(d, cfg), oracle_smote(d, cfg))
 
     def test_interpolate_drops_exact_zeros(self):
         # g = 0 zeroes the neighbor-only feature 1 (0 + 0 * (2 - 0))
@@ -194,6 +246,58 @@ class TestOracle:
 
     def test_nearest_neighbors_tie_heavy_blocks(self):
         rng = np.random.default_rng(12)
-        pts = rng.integers(0, 2, size=(3 * KNN_BLOCK + 5, 3)).astype(float)
+        pts = rng.integers(0, 2, size=(3 * BLOCK_ROWS + 5, 3)).astype(float)
         for k in (1, 4, len(pts) - 1, len(pts) + 2):
-            assert nearest_neighbors(csr_from_dense(pts), k) == oracle_nearest_neighbors(pts, k)
+            with small_knn():
+                assert nearest_neighbors(csr_from_dense(pts), k) == oracle_nearest_neighbors(pts, k)
+
+
+def round_by_round(seed, k: int, quota: int):
+    """The draws `smote` reproduces: rng.integers(k), then rng.random(), per row."""
+    rng = np.random.default_rng(seed)
+    rounds = [(rng.integers(k), rng.random()) for _ in range(quota)]
+    return [p for p, _ in rounds], [g for _, g in rounds]
+
+
+class FixedWords:
+    """A stand-in Generator whose bit generator returns the given words, cycled."""
+
+    def __init__(self, words):
+        self.bit_generator = SimpleNamespace(
+            random_raw=lambda n: np.resize(np.array(words, dtype=np.uint64), n)
+        )
+
+
+class TestDraws:
+    """The bulk draws equal numpy's own calls on the same PCG64 stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.integers(0, 19),
+        k=st.integers(1, 7),
+        quota=st.integers(1, 41),
+    )
+    @example(seed=0, c=0, k=6, quota=1)
+    @example(seed=1, c=2, k=7, quota=2)
+    @example(seed=2, c=5, k=1, quota=3)
+    def test_bulk_equals_round_by_round(self, seed, c, k, quota):
+        picks, gaps = _bulk_draws(np.random.default_rng([seed, c]), k, quota)
+        assert picks.dtype == np.intp
+        assert (picks.tolist(), gaps.tolist()) == round_by_round([seed, c], k, quota)
+
+    # Lemire's method draws again when (x k) mod 2^32 < (2^32 - k) mod k: for
+    # k = 3 that is x = 0 alone; for k = 6 and 7 it takes x * k just past 2^32.
+    @pytest.mark.parametrize("k, x, rejected", [
+        (3, 0, True), (3, 1, False),
+        (6, 715827883, True), (6, 715827882, False),
+        (7, 613566757, True), (7, 613566756, False),
+        (4, 0, False),  # a power of two never draws again
+    ])
+    @pytest.mark.parametrize("row", [0, 1])  # the low half of a word, then its high half
+    def test_rejection_detected(self, k, x, rejected, row):
+        words = [x << (32 * row) | (12345 << (32 * (1 - row))), 7, 9]
+        got = _bulk_draws(FixedWords(words), k, 2)
+        assert (got is None) == rejected
+        if not rejected:
+            assert got[0][row] == x * k >> 32
