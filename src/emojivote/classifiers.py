@@ -317,17 +317,6 @@ def _worker_count(n_trees: int, n_rows: int) -> int:
     return min(_usable_cpus(), n_trees)
 
 
-def _entries(indptr: np.ndarray, ids: np.ndarray):
-    """(owner, position) of every entry stored under the rows `ids` of a CSR
-
-    layout, row after row: owner is the row's place in `ids`.
-    """
-    starts = indptr[ids]
-    lengths = indptr[ids + 1] - starts
-    owner = np.repeat(np.arange(len(ids)), lengths)
-    return owner, np.arange(len(owner)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-
-
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """A mask of the places where a run of equal values in `a` begins."""
     starts = np.ones(len(a), dtype=bool)
@@ -340,19 +329,18 @@ def _sort_keys(keys: np.ndarray, bound: int) -> np.ndarray:
     return keys.astype(np.int16) if bound <= 1 << 15 else keys
 
 
-def _renumber(arrays, sizes: list, trees: list) -> tuple:
-    """Packed arrays (feature, threshold, left, right, counts, roots) made of
+def _renumber(feature, threshold, left, right, counts, sizes) -> tuple:
+    """The packed arrays (feature, threshold, left, right, counts, roots) of
 
-    parts laid end to end, part i holding sizes[i] nodes and trees[i] roots
-    numbered from 0: each part's nodes renumbered after those of the parts
-    before it.
+    trees laid end to end, tree t's sizes[t] nodes numbered from 0: each
+    tree's nodes renumbered after those before it, its root the first.
     """
-    feature, threshold, left, right, counts, roots = arrays
-    offsets = np.cumsum([0] + sizes[:-1])
-    node_offset = np.repeat(offsets, sizes)
+    roots = np.zeros(len(sizes), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=roots[1:])
+    node_offset = np.repeat(roots, sizes)
     left = np.where(left >= 0, left + node_offset, -1)  # -1 stays -1
     right = np.where(right >= 0, right + node_offset, -1)
-    return feature, threshold, left, right, counts, roots + np.repeat(offsets, trees)
+    return feature, threshold, left, right, counts, roots
 
 
 @dataclass
@@ -398,15 +386,15 @@ class _TreeGrower:
         self.x = np.zeros(n + 1)  # the split feature's value in each row
 
     def grow(self, trees) -> tuple:
-        """The packed arrays (feature, threshold, left, right, counts, roots) of
+        """The node arrays (feature, threshold, left, right, counts) of the
 
-        the given trees, nodes numbered from 0. Tree t's RNG stream derives
-        from (seed, t). Each tree grows from its own explicit stack, left child
-        before right, so its nodes are numbered and its RNG drawn in preorder.
-        The trees grow in lockstep: each step takes the next node to split
-        from each tree in turn, while the entries its nodes read, plus one
-        stand-in per candidate, stay within STEP_ENTRIES; it gathers all
-        their entries at once and scores them all at once.
+        given trees, each numbered from 0, and the trees' node counts. Tree
+        t's RNG stream derives from (seed, t). Each tree grows from its own
+        explicit stack, left child before right, so its nodes are numbered and
+        its RNG drawn in preorder. The trees grow in lockstep: each step takes
+        the next node to split from each tree in turn, while the entries its
+        nodes read, plus one stand-in per candidate, stay within STEP_ENTRIES;
+        it gathers all their entries at once and scores them all at once.
         """
         cfg, n = self.cfg, len(self.X)
         forest, queue = [], collections.deque()  # queue: each unfinished tree's next _Search
@@ -435,8 +423,8 @@ class _TreeGrower:
         feature, threshold, left, right, counts = zip(*(node for nodes in forest for node in nodes))
         index = lambda values: np.array(values, dtype=np.intp)
         threshold, counts = np.array(threshold, dtype=float), np.array(counts, dtype=float)
-        arrays = index(feature), threshold, index(left), index(right), counts, index([0] * len(forest))
-        return _renumber(arrays, [len(nodes) for nodes in forest], [1] * len(forest))
+        sizes = index([len(nodes) for nodes in forest])
+        return index(feature), threshold, index(left), index(right), counts, sizes
 
     def _next_search(self, tree) -> list:
         """Number the tree's nodes up to the next one to split, leaves as they
@@ -492,7 +480,7 @@ class _TreeGrower:
         self.slot[cells] = (nodes[:, None] * F + np.arange(1, F + 1)).ravel()
         place = np.repeat(place, [len(r) for r in rows])  # each row's
         rows = np.concatenate(rows)
-        owner, pos = _entries(self.X.indptr, rows)
+        owner, pos = self.X.positions(rows)
         g = self.slot[place[owner] + self.X.indices[pos]]
         self.slot[cells] = 0
         keep = g.nonzero()[0]
@@ -509,7 +497,7 @@ class _TreeGrower:
         cells = np.repeat(place, [len(r) for r in rows]) + np.concatenate(rows)
         first = _run_starts(cells).nonzero()[0]  # rows are sorted: a row's copies are a run
         self.copies[cells[first]] = np.append(first[1:], len(cells)) - first
-        owner, pos = _entries(self.columns.indptr, candidates[nodes].ravel())  # owner: p * F + j
+        owner, pos = self.columns.positions(candidates[nodes].ravel())  # owner: p * F + j
         row = self.columns.indices[pos]
         weight = self.copies[np.repeat(place, F)[owner] + row]
         self.copies[cells[first]] = 0
@@ -601,7 +589,7 @@ class _TreeGrower:
 def _fork_worker(grower: _TreeGrower, trees) -> tuple:
     """(pid, read end of its pipe) of a child that grows `trees` and sends back
 
-    ("trees", arrays) or ("error", exception). The child leaves by os._exit
+    grow's arrays or the exception it raised. The child leaves by os._exit
     once its pipe is flushed, so no stdio buffer or exit handler of this
     process runs twice.
     """
@@ -618,15 +606,15 @@ def _fork_worker(grower: _TreeGrower, trees) -> tuple:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 try:
-                    outcome = ("trees", grower.grow(trees))
+                    arrays = grower.grow(trees)
                 except BaseException as exc:  # the parent re-raises it
                     try:
-                        error = pickle.dumps(("error", exc))
+                        error = pickle.dumps(exc)
                     except Exception:  # an exception that does not pickle
-                        error = pickle.dumps(("error", RuntimeError(repr(exc))))
+                        error = pickle.dumps(RuntimeError(repr(exc)))
                     pipe.write(error)
                 else:
-                    pickle.dump(outcome, pipe, protocol=5)  # arrays written without a copy
+                    pickle.dump(arrays, pipe, protocol=5)  # arrays written without a copy
                     status = 0
         finally:
             os._exit(status)
@@ -634,18 +622,8 @@ def _fork_worker(grower: _TreeGrower, trees) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def _unpack(pid: int, outcome, code: int) -> tuple:
-    """The arrays a worker sent; raises its exception, or RuntimeError if it died."""
-    if outcome is not None and outcome[0] == "error":
-        raise outcome[1]
-    if outcome is None or code != 0:
-        cause = f"signal {-code}" if code < 0 else f"exit code {code}"
-        raise RuntimeError(f"random-forest worker {pid} ended with {cause}")
-    return outcome[1]
-
-
 def _grow_in_workers(grower: _TreeGrower, shares: list) -> list[tuple]:
-    """Each share's packed arrays: the first grown here, the others in forked
+    """Each share's arrays: the first grown here, the others in forked
 
     workers. If anything fails, the workers not yet reaped are killed and
     reaped before the exception propagates.
@@ -664,7 +642,12 @@ def _grow_in_workers(grower: _TreeGrower, shares: list) -> list[tuple]:
                     outcome = None
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[0]
-            parts.append(_unpack(pid, outcome, code))
+            if isinstance(outcome, BaseException):
+                raise outcome
+            if outcome is None or code != 0:
+                cause = f"signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(f"random-forest worker {pid} ended with {cause}")
+            parts.append(outcome)
         return parts
     finally:
         for pid, pipe in workers:
@@ -685,11 +668,8 @@ def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
     grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg)
     workers = _worker_count(cfg.n_trees, len(dataset))
     shares = np.array_split(np.arange(cfg.n_trees), workers)
-    parts = _grow_in_workers(grower, shares)
-    arrays = map(np.concatenate, zip(*parts))
-    sizes = [len(part[0]) for part in parts]
-    k = dataset.num_classes
-    return RfModel(dataset.dimension, k, *_renumber(arrays, sizes, [len(s) for s in shares]))
+    arrays = map(np.concatenate, zip(*_grow_in_workers(grower, shares)))
+    return RfModel(dataset.dimension, dataset.num_classes, *_renumber(*arrays))
 
 
 # rf_predict_proba walks at most this many rows at once. A block's dense table
@@ -711,14 +691,14 @@ def rf_predict_proba(model: RfModel, X: CsrMatrix) -> np.ndarray:
     out = np.empty((n, k))
     column = np.zeros(X.dimension + 1, dtype=np.intp)  # column[-1] stays 0
     for start in range(0, n, RF_BLOCK_ROWS):
-        indptr = X.indptr[start : start + RF_BLOCK_ROWS + 1]
-        m, entries = len(indptr) - 1, slice(indptr[0], indptr[-1])
+        m = min(RF_BLOCK_ROWS, n - start)
+        owner, entries = X.positions(np.arange(start, start + m))
         indices = X.indices[entries]
         present = np.sort(indices)  # then deduplicated (np.unique would import numpy.ma)
         present = present[np.diff(present, prepend=-1) > 0]
         column[present] = np.arange(1, len(present) + 1)
         table = np.zeros((m, len(present) + 1))
-        table[np.repeat(np.arange(m), np.diff(indptr)), column[indices]] = X.data[entries]
+        table[owner, column[indices]] = X.data[entries]
         split_column = column[model.feature]
         column[present] = 0
         node = np.tile(model.roots, m)  # walk r * T + t: row r, tree t

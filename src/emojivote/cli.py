@@ -120,6 +120,9 @@ def cmd_train(args) -> int:
     if args.split:
         corpus, test_corpus = _stratified_split(corpus, args.split, args.seed)
         print(f"split: {len(corpus)} train / {len(test_corpus)} held out")
+        emptied = sorted(set(test_corpus.labels) - set(corpus.labels))
+        if emptied:
+            raise DataError(f"--split {args.split} holds out every tweet of class {emptied[0]}")
 
     vocab, dataset = vectorize_corpus(corpus, policy, features)
     if vocab.size == 0:

@@ -63,14 +63,20 @@ class CsrMatrix:
         """The row of every stored entry, in entry order."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, position) of every entry of the given rows, row after row: owner
+
+        is the row's place in `rows`, position the entry's in indices and data.
+        """
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        return owner, np.arange(len(owner)) + (starts - np.cumsum(lengths) + lengths)[owner]
+
     def take(self, rows: np.ndarray) -> "CsrMatrix":
         """The given rows in the given order; a row may be taken more than once."""
-        starts = self.indptr[rows]
-        sizes = self.indptr[rows + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum(sizes, out=indptr[1:])
-        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], sizes)
-        return CsrMatrix(indptr, self.indices[entries], self.data[entries], self.dimension)
+        owner, pos = self.positions(rows)
+        return from_entries(owner, self.indices[pos], self.data[pos], len(rows), self.dimension)
 
     def transpose(self) -> "CsrMatrix":
         """The columns as rows: row j holds the rows with a count in column j,
@@ -78,9 +84,15 @@ class CsrMatrix:
         in increasing order, and those counts.
         """
         order = np.argsort(self.indices, kind="stable")
-        indptr = np.zeros(self.dimension + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.indices, minlength=self.dimension), out=indptr[1:])
-        return CsrMatrix(indptr, self.row_ids()[order], self.data[order], len(self))
+        rows = self.row_ids()[order]
+        return from_entries(self.indices[order], rows, self.data[order], self.dimension, len(self))
+
+
+def from_entries(rows, indices, data, n: int, dimension: int) -> CsrMatrix:
+    """n rows holding data[e] at (rows[e], indices[e]), entries sorted by row, then column."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return CsrMatrix(indptr, indices, data, dimension)
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,7 @@ def vectorize(bags: list[Counter], vocab: Vocabulary) -> CsrMatrix:
     kept = columns >= 0
     rows, columns, counts = rows[kept], columns[kept], counts[kept]
     order = np.argsort(rows * vocab.size + columns)  # keys are unique: by row, then column
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CsrMatrix(indptr, columns[order], counts[order], vocab.size)
+    return from_entries(rows, columns[order], counts[order], n, vocab.size)  # rows are sorted
 
 
 def ngram_bags(texts: list[str], policy: AsciiPolicy) -> list[Counter]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError
-from .features import CsrMatrix, LabeledDataset
+from .features import CsrMatrix, LabeledDataset, from_entries
 
 # Columns of a class's dense k-NN table: its most frequent ones, whose dot
 # products BLAS sums; the rest are summed pair by pair.
@@ -53,48 +53,45 @@ def plan_resample(dataset: LabeledDataset) -> ResamplePlan:
     )
 
 
-def nearest_neighbors(points: CsrMatrix, k: int, first: int | None = None) -> list[list[int]]:
+def nearest_neighbors(points: CsrMatrix, k: int, first: int | None = None) -> np.ndarray:
     """The k-NN lists of the first `first` rows (default all) among all rows,
 
-    by Euclidean distance, self excluded, ties broken by lower row index.
-    Squared distances are |a|^2 + |b|^2 - 2 a.b, for KNN_CELLS // n query rows
-    (at least one) at a time. The dot products over the FREQUENT_COLUMNS most
-    frequent columns are one BLAS product of dense tables; over the other
-    columns they are summed over the (query entry, row entry) pairs that share
-    a column, so only those nonzeros are read. Exact ties need integer counts,
-    which every caller passes: then every product and partial sum is an exact
-    float64, whatever order BLAS sums in, and the distances equal the sums of
-    squared differences bit for bit.
+    one intp row each (k capped at n), by Euclidean distance, self excluded,
+    ties to the lower row index. Squared distances are |a|^2 + |b|^2 - 2 a.b,
+    for KNN_CELLS // n query rows (at least one) at a time. The dot products
+    over the FREQUENT_COLUMNS most frequent columns are one BLAS product of
+    dense tables; over the other columns they are summed over the (query
+    entry, row entry) pairs that share a column, so only those nonzeros are
+    read. Exact ties need integer counts, which every caller passes: then
+    every product and partial sum is an exact float64, whatever order BLAS
+    sums in, and the distances equal the sums of squared differences bit for bit.
     """
     n = len(points)
     k = min(k, n)  # past n - 1, a row's own index comes last
-    rows = points.row_ids()
     # astype: bincount returns integers when there are no entries at all
-    sq_norms = np.bincount(rows, weights=points.data**2, minlength=n).astype(float)
+    sq_norms = np.bincount(points.row_ids(), weights=points.data**2, minlength=n).astype(float)
     by_frequency = np.argsort(np.bincount(points.indices, minlength=points.dimension))
     frequent = by_frequency[max(0, points.dimension - FREQUENT_COLUMNS) :]
-    slot = np.full(points.dimension, -1)
-    slot[frequent] = np.arange(len(frequent))
-    slots = slot[points.indices]
-    rest = slots < 0
+    columns = points.transpose()  # for each column, the rows holding it
+    slot, pos = columns.positions(frequent)
     table = np.zeros((n, len(frequent)))
-    table[rows[~rest], slots[~rest]] = points.data[~rest]
-    tail_indptr = np.concatenate(([0], np.cumsum(rest)))[points.indptr]
-    tail = CsrMatrix(tail_indptr, points.indices[rest], points.data[rest], points.dimension)
-    tail_rows, columns = rows[rest], tail.transpose()  # for each column, the rows holding it
+    table[columns.indices[pos], slot] = columns.data[pos]
+    rest = np.ones(points.dimension, dtype=bool)  # the columns outside the table
+    rest[frequent] = False
     queried = n if first is None else min(first, n)
     step = max(1, KNN_CELLS // n)
-    out = []
+    out = np.empty((queried, k), dtype=np.intp)
     for start in range(0, queried, step):
         stop = min(start + step, queried)
         gram = table[start:stop] @ table.T
-        lo, hi = tail.indptr[start], tail.indptr[stop]
-        pairs = columns.take(tail.indices[lo:hi])
-        entry = pairs.row_ids()
-        cells = (tail_rows[lo:hi][entry] - start) * n + pairs.indices
-        products = tail.data[lo:hi][entry] * pairs.data
+        owner, query = points.positions(np.arange(start, stop))  # the block's entries
+        tail = rest[points.indices[query]]  # those outside the table
+        owner, query = owner[tail], query[tail]
+        entry, pos = columns.positions(points.indices[query])  # the pairs sharing a column
+        cells = owner[entry] * n + columns.indices[pos]
+        products = points.data[query][entry] * columns.data[pos]
         gram += np.bincount(cells, weights=products, minlength=gram.size).reshape(gram.shape)
-        del pairs, entry, cells, products  # else alive while the next block builds its own
+        del owner, query, tail, entry, pos, cells, products  # else alive during the next block
         d2 = sq_norms[start:stop, None] + sq_norms - 2 * gram
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # Sort only entries at or below each row's k-th distance, stably: ties to the lower index.
@@ -102,7 +99,7 @@ def nearest_neighbors(points: CsrMatrix, k: int, first: int | None = None) -> li
         row, col = np.nonzero(d2 <= kth)
         order = np.lexsort((d2[row, col], row))
         first_entry = np.searchsorted(row[order], np.arange(stop - start))
-        out.extend(col[order][first_entry[:, None] + np.arange(k)].tolist())
+        out[start:stop] = col[order][first_entry[:, None] + np.arange(k)]
     return out
 
 
@@ -114,18 +111,16 @@ def _interpolate(
     neighbors[t] of points, computed on the union of their nonzeros (it is
     exactly 0 elsewhere), with exact zeros dropped.
     """
-    V = points.dimension
-    ends = [points.take(parents), points.take(neighbors)]
-    keys = [m.row_ids() * V + m.indices for m in ends]
-    union, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    x, nn = np.zeros(len(union)), np.zeros(len(union))
-    x[slot[: len(keys[0])]] = ends[0].data
-    nn[slot[len(keys[0]) :]] = ends[1].data
+    V, m = points.dimension, len(parents)
+    owner, pos = points.positions(np.concatenate((parents, neighbors)))  # owner // m: which end
+    union, slot = np.unique(owner % m * V + points.indices[pos], return_inverse=True)
+    ends = np.zeros((2, len(union)))  # x and nn on the union
+    ends[owner // m, slot] = points.data[pos]
     row, index = np.divmod(union, V)
+    x, nn = ends
     values = x + gaps[row] * (nn - x)
     keep = values != 0
-    indptr = np.searchsorted(row[keep], np.arange(len(parents) + 1))
-    return CsrMatrix(indptr, index[keep], values[keep], V)
+    return from_entries(row[keep], index[keep], values[keep], m, V)
 
 
 def _bulk_draws(rng, k: int, quota: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -190,7 +185,7 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
             continue
         points = dataset.take(members)
         k = min(cfg.k_neighbors, n_c - 1)
-        knn = np.array(nearest_neighbors(points, k, min(quota, n_c)), dtype=np.intp)
+        knn = nearest_neighbors(points, k, min(quota, n_c))
         parents = np.arange(quota) % n_c
         picks, gaps = _draws([cfg.seed, c], k, quota)
         parts.append(_interpolate(points, parents, knn[parents, picks], gaps))

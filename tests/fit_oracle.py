@@ -10,7 +10,6 @@ import numpy as np
 from emojivote.classifiers import (
     LrConfig,
     LrModel,
-    _entries,
     _exp_neg_abs,
     _mean_loss,
     _residuals,
@@ -25,7 +24,7 @@ def row_entries(X: CsrMatrix, rows: np.ndarray, candidates: np.ndarray):
     entry per copy of a row, so the weight is None (1 each).
     """
     slot = np.full(X.dimension, -1)  # a feature's place among the candidates, else -1
-    owner, pos = _entries(X.indptr, rows)
+    owner, pos = X.positions(rows)
     slot[candidates] = np.arange(len(candidates))
     cand = slot[X.indices[pos]]
     keep = np.flatnonzero(cand >= 0)
@@ -40,7 +39,7 @@ def column_entries(columns: CsrMatrix, rows: np.ndarray, candidates: np.ndarray)
     copies = np.zeros(columns.dimension, dtype=np.intp)  # a row's copies in the node
     first = np.flatnonzero(np.diff(rows, prepend=-1))  # rows are sorted
     copies[rows[first]] = np.diff(first, append=len(rows))
-    cand, pos = _entries(columns.indptr, candidates)
+    cand, pos = columns.positions(candidates)
     row = columns.indices[pos]
     weight = copies[row]
     keep = np.flatnonzero(weight)

@@ -171,7 +171,7 @@ def test_smote_properties():
         n = int(rng.integers(2, 51))
         pts = rng.integers(0, 4, size=(n, 4)).astype(float)
         k = int(rng.integers(1, n))
-        got = nearest_neighbors(csr_from_dense(pts), k)
+        got = nearest_neighbors(csr_from_dense(pts), k).tolist()
         for i in range(n):
             want = sorted(
                 (float(((pts[j] - pts[i]) ** 2).sum()), j) for j in range(n) if j != i

@@ -4,7 +4,7 @@ deeper than Python's recursion limit."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emojivote.archive import ModelArchive, archive_load, archive_save
@@ -22,12 +22,13 @@ from emojivote.features import (
     CsrMatrix,
     FeatureConfig,
     Vocabulary,
+    from_entries,
     vectorize_corpus,
 )
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
 
-from helpers import csr_from_rows, to_dense
+from helpers import csr_from_rows, rows_of, same, to_dense
 from rf_oracle import TreeNode, pack
 
 
@@ -112,6 +113,17 @@ class TestBatchEqualsRows:
                 select(meta, selector).predict_proba(X)
 
 
+@st.composite
+def row_selections(draw):
+    """Rows of {column: count} over 5 columns, some empty, and a selection of
+
+    them in any order, repeats allowed, possibly empty.
+    """
+    counts = st.dictionaries(st.integers(0, 4), st.integers(1, 3).map(float))
+    rows = draw(st.lists(counts, min_size=1, max_size=8))
+    return rows, draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+
+
 class TestCsrMatrix:
     def test_from_rows_layout(self):
         rows = [((1, 2.0), (3, 1.0)), (), ((0, 0.5),)]
@@ -156,6 +168,21 @@ class TestCsrMatrix:
         assert X.indptr.tolist() == [0, 1, 3, 3, 4]
         assert X.indices.tolist() == [0, 1, 3, 0]
         assert X.data.tolist() == [0.5, 2.0, 1.0, 0.5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=row_selections())
+    @example(case=([{0: 1.0}, {}, {2: 2.0, 4: 1.0}], [2, 2, 1, 0, 2]))  # repeats, empty, last
+    @example(case=([{1: 1.0}, {}], []))  # an empty selection
+    def test_positions_and_from_entries_equal_row_slices(self, case):
+        rows, selection = case
+        X = csr_from_rows([sorted(r.items()) for r in rows], 5)
+        owner, pos = X.positions(np.array(selection, dtype=np.intp))
+        slices = [range(X.indptr[r], X.indptr[r + 1]) for r in selection]
+        assert owner.tolist() == [i for i, s in enumerate(slices) for _ in s]
+        assert pos.tolist() == [p for s in slices for p in s]
+        Y = from_entries(owner, X.indices[pos], X.data[pos], len(selection), X.dimension)
+        assert rows_of(Y) == [rows_of(X)[r] for r in selection]
+        assert same(Y, X.take(np.array(selection, dtype=np.intp)))
 
     def test_transpose_lists_each_column_in_row_order(self):
         rows = [((1, 2.0), (3, 1.0)), (), ((0, 0.5), (3, 4.0))]

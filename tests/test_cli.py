@@ -155,6 +155,21 @@ class TestTrain:
         assert rc == 0
         assert "split: 71 train / 19 held out" in capsys.readouterr().out
 
+    def test_split_that_empties_a_class_is_data_error(self, toy_files, tmp_path, capsys):
+        # class 3 has one tweet, and --split 0.6 holds out round(0.6) = 1 of it
+        texts = (toy_files / "t.txt").read_text() + "happy sad angry\n"
+        (tmp_path / "t.txt").write_text(texts, encoding="utf-8")
+        (tmp_path / "l.txt").write_text((toy_files / "l.txt").read_text() + "3\n")
+        rc = main(
+            ["train", str(tmp_path / "t.txt"), str(tmp_path / "l.txt"), "-k", "4",
+             "-o", str(tmp_path / "m.bin"), "--split", "0.6"] + TRAIN_FLAGS
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "--split 0.6" in err and "class 3" in err
+        assert "corpus:" not in out
+        assert not (tmp_path / "m.bin").exists()
+
 
 def loop_split(corpus: RawCorpus, fraction: float, seed: int):
     """The per-class corpus scans `_stratified_split` replaced, kept as the reference."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from emojivote import resample
 from emojivote.exceptions import DataError
+from emojivote.features import CsrMatrix
 from emojivote.resample import (
     ResamplePlan,
     SmoteConfig,
@@ -89,7 +90,7 @@ class TestNearestNeighbors:
             pts = rng.integers(0, 3, size=(n, 3)).astype(float)
             k = int(rng.integers(1, n))
             with small_knn(frequent=1):
-                got = nearest_neighbors(csr_from_dense(pts), k)
+                got = nearest_neighbors(csr_from_dense(pts), k).tolist()
             for i in range(n):
                 dists = sorted(
                     (float(((pts[j] - pts[i]) ** 2).sum()), j) for j in range(n) if j != i
@@ -98,9 +99,9 @@ class TestNearestNeighbors:
 
     def test_self_excluded(self):
         pts = np.zeros((3, 2))
-        for lst in nearest_neighbors(csr_from_dense(pts), 2):
-            assert len(lst) == 2
-        assert 0 not in nearest_neighbors(csr_from_dense(pts), 2)[0]
+        got = nearest_neighbors(csr_from_dense(pts), 2)
+        assert got.shape == (3, 2) and got.dtype == np.intp
+        assert 0 not in got[0].tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -116,7 +117,9 @@ class TestNearestNeighbors:
         k = data.draw(st.integers(1, n + 1), label="k")
         first = data.draw(st.integers(0, n + 2), label="first")
         with small_knn(frequent, cells):
-            assert nearest_neighbors(points, k, first) == nearest_neighbors(points, k)[:first]
+            got = nearest_neighbors(points, k, first)
+            assert got.tolist() == nearest_neighbors(points, k)[:first].tolist()
+            assert got.shape == (min(first, n), min(k, n))
 
 
 class TestSmote:
@@ -170,6 +173,21 @@ class TestSmote:
         out = smote(d, SmoteConfig(seed=0))
         assert rows_of(out)[3] == rows_of(d)[2]
         assert out.labels.tolist() == [0, 0, 1, 1]
+
+    def test_no_matrix_built_per_knn_block(self, monkeypatch):
+        d = skewed_dataset(seed=4, counts=(12, 5, 2))
+        validate, built = CsrMatrix.__post_init__, []
+
+        def counting(self):
+            built.append(len(self))
+            validate(self)
+
+        monkeypatch.setattr(CsrMatrix, "__post_init__", counting)
+        smote(d, SmoteConfig(seed=4))  # one k-NN block per class
+        one_block = len(built)
+        monkeypatch.setattr(resample, "KNN_CELLS", 1)  # one query row per block: 5 + 2 blocks
+        smote(d, SmoteConfig(seed=4))
+        assert len(built) == 2 * one_block
 
     def test_k_capped_at_class_size_minus_one(self):
         d = dataset_from_dense(
@@ -249,7 +267,8 @@ class TestOracle:
         pts = rng.integers(0, 2, size=(3 * BLOCK_ROWS + 5, 3)).astype(float)
         for k in (1, 4, len(pts) - 1, len(pts) + 2):
             with small_knn():
-                assert nearest_neighbors(csr_from_dense(pts), k) == oracle_nearest_neighbors(pts, k)
+                got = nearest_neighbors(csr_from_dense(pts), k).tolist()
+                assert got == oracle_nearest_neighbors(pts, k)
 
 
 def round_by_round(seed, k: int, quota: int):
