@@ -11,6 +11,7 @@ import math
 import os
 import pickle
 import signal
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,10 +290,10 @@ class RfModel:
         return rf_predict_proba(self, X)
 
 
-# Below this many rows x trees the forest grows in this process alone. A fork
-# costs about 7 ms at 60 MB RSS; on 2 cores, with each process growing its
-# trees in lockstep, 20 trees broke even with two workers at about 40-50 rows,
-# 5 trees at about 150-200.
+# Below this many rows x trees (rows summed over the forests grown together)
+# the forests grow in this process alone. A fork costs about 7 ms at 60 MB
+# RSS; on 2 cores, with each process growing its trees in lockstep, 20 trees
+# broke even with two workers at about 40-50 rows, 5 trees at about 150-200.
 FORK_MIN_ROW_TREES = 900
 
 # A lockstep step gathers and scores at most this many entries (those its
@@ -311,7 +312,10 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(n_trees: int, n_rows: int) -> int:
-    """Processes to grow the forest in: one per usable CPU, at most one per tree."""
+    """Processes to grow forests of n_trees trees each in, given their rows
+
+    summed over the forests: one per usable CPU, at most one per tree.
+    """
     if not hasattr(os, "fork") or n_rows * n_trees < FORK_MIN_ROW_TREES:
         return 1
     return min(_usable_cpus(), n_trees)
@@ -345,66 +349,94 @@ def _renumber(feature, threshold, left, right, counts, sizes) -> tuple:
 
 @dataclass
 class _Search:
-    """A node to split: its tree (rng, stack, nodes), its record in the tree's
+    """A node to split: its tree (a _Tree), its number in the tree, its sample
 
-    nodes, its sample rows, class totals and candidate features, whether it
-    reads its entries from the candidates' columns (else from its rows), and
-    how many entries that path reads, an upper bound on those it keeps.
+    rows, class totals and candidate features, whether it reads its entries
+    from the candidates' columns (else from its rows), how many entries that
+    path reads, an upper bound on those it keeps, and its tree's forest.
     """
 
-    tree: tuple
-    record: list
+    tree: "_Tree"
+    node: int
     rows: np.ndarray
     totals: np.ndarray
     candidates: np.ndarray
     by_columns: bool
     reads: int
+    forest: int = 0
+
+
+class _Tree:
+    """A tree being grown: its forest, its RNG, the stack of nodes it has yet
+
+    to number, and its nodes so far in preorder, as flat columns: feature,
+    threshold, right child (a split node's left child is the next node) and
+    the row of the grower's table that holds the node's class totals. A stack
+    entry is (rows, class totals, their table row, the node it is the right
+    child of or -1, whether it may split, the entries in its rows).
+    """
+
+    def __init__(self, forest: int, rng):
+        self.forest, self.rng, self.stack = forest, rng, []
+        self.feature, self.threshold = array("q"), array("d")
+        self.right, self.totals = array("q"), array("q")
 
 
 class _TreeGrower:
-    """Grows the trees of one forest from the training rows (CSR), their
+    """Grows the trees of forests on nested prefixes of the training rows
 
-    columns (the transposed CSR) and the labels. A node is the sorted array
-    of its sample rows, bootstrap duplicates included; the order of a node's
-    rows never changes its split, so sorting only makes duplicates adjacent.
+    (CSR), from those rows, their columns (the transposed CSR) and the labels;
+    forest i reads the first sizes[i] rows only (all rows by default). A node
+    is the sorted array of its sample rows, bootstrap duplicates included; the
+    order of a node's rows never changes its split, so sorting only makes
+    duplicates adjacent.
     """
 
-    def __init__(self, X: CsrMatrix, y: np.ndarray, k: int, cfg: RfConfig):
+    def __init__(self, X: CsrMatrix, y: np.ndarray, k: int, cfg: RfConfig, sizes=None):
         n, V = len(X), X.dimension
         self.X, self.columns, self.k, self.cfg = X, X.transpose(), k, cfg
+        self.sizes = [n] if sizes is None else list(sizes)
         self.labels = np.append(y, k)  # row n is the zero stand-in, of no class
         self.row_nnz = X.indptr[1:] - X.indptr[:-1]
-        self.col_nnz = self.columns.indptr[1:] - self.columns.indptr[:-1]
+        # A column lists its rows in increasing order, so forest i's rows are a prefix of
+        # it: col_nnz[i, f] entries long.
+        prefix = lambda size: np.bincount(X.indices[: X.indptr[size]], minlength=V)
+        self.col_nnz = np.array([prefix(size) for size in self.sizes])
         max_feats = cfg.max_features if cfg.max_features is not None else math.ceil(math.sqrt(V))
         self.max_feats = min(max_feats, V)
         # Scratch that each gather sets and resets, for the p-th node of a step that reads
         # rows or columns (a step holds at most one node of each tree): slot[p * V + f] is
         # 1 + the g of feature f among the node's candidates, else 0; copies[p * n + r] is
-        # the number of copies of row r in the node. Both stay far below 2**31.
-        self.slot = np.zeros(cfg.n_trees * V, dtype=np.int32)
-        self.copies = np.zeros(cfg.n_trees * n, dtype=np.int32)
-        self.x = np.zeros(n + 1)  # the split feature's value in each row
+        # the number of copies of row r in the node. Both stay far below 2**31. Scoring
+        # marks in copies the rows that go right at the p-th split of a step.
+        trees = len(self.sizes) * cfg.n_trees
+        self.slot = np.zeros(trees * V, dtype=np.int32)
+        self.copies = np.zeros(trees * n, dtype=np.int32)
+        self.table, self.filled = [], 0  # blocks of class totals, and the rows they hold
 
-    def grow(self, trees) -> tuple:
-        """The node arrays (feature, threshold, left, right, counts) of the
+    def grow(self, trees) -> list[tuple]:
+        """For each forest in turn, the node arrays (feature, threshold, left,
 
-        given trees, each numbered from 0, and the trees' node counts. Tree
-        t's RNG stream derives from (seed, t). Each tree grows from its own
-        explicit stack, left child before right, so its nodes are numbered and
-        its RNG drawn in preorder. The trees grow in lockstep: each step takes
-        the next node to split from each tree in turn, while the entries its
-        nodes read, plus one stand-in per candidate, stay within STEP_ENTRIES;
-        it gathers all their entries at once and scores them all at once.
+        right, counts) of its given trees, each tree numbered from 0, and the
+        trees' node counts; `trees` are (forest, tree index) pairs, some of
+        every forest. Tree t's RNG stream derives from (seed, t), whatever its
+        forest. Each tree grows from its own explicit stack, left child before
+        right, so its nodes are numbered and its RNG drawn in preorder. The
+        trees grow in lockstep: each step takes the next node to split from
+        each tree in turn, while the entries its nodes read, plus one stand-in
+        per candidate, stay within STEP_ENTRIES; it gathers all their entries
+        at once, scores them all at once, and sizes up all the children of its
+        splits at once.
         """
-        cfg, n = self.cfg, len(self.X)
-        forest, queue = [], collections.deque()  # queue: each unfinished tree's next _Search
-        for t in trees:
+        cfg, grown, samples = self.cfg, [], []
+        for forest, t in trees:
             rng = np.random.default_rng([cfg.seed, t])
-            sample = np.sort(rng.integers(0, n, size=n)) if cfg.bootstrap else np.arange(n)
-            # (rng, stack of (rows, the parent's node, 2 if left child else 3), nodes)
-            tree = (rng, [(sample, None, 0)], [])
-            forest.append(tree[2])
-            queue.extend(self._next_search(tree))
+            n = self.sizes[forest]
+            samples.append(np.sort(rng.integers(0, n, size=n)) if cfg.bootstrap else np.arange(n))
+            grown.append(_Tree(forest, rng))
+        lengths = [len(sample) for sample in samples]
+        self._push(grown, np.concatenate(samples), lengths, [-1] * len(grown))
+        queue = collections.deque(s for tree in grown for s in self._next_search(tree))
         while queue:
             step, size = [], 0
             while queue:
@@ -412,39 +444,79 @@ class _TreeGrower:
                 if step and size > STEP_ENTRIES:
                     break
                 step.append(queue.popleft())
-            for search, split in zip(step, self._best_splits(step, self._gather(step))):
-                if split is not None:
-                    (f, threshold, go_left), record, rows = split, search.record, search.rows
-                    record[0], record[1], record[4] = f, threshold, np.zeros(self.k)
-                    stack = search.tree[1]
-                    stack += [(rows[~go_left], record, 3), (rows[go_left], record, 2)]
+            nodes, features, thresholds, rows, side = self._best_splits(step, self._gather(step))
+            parents, right_of = [], []
+            for i, f, threshold in zip(nodes.tolist(), features.tolist(), thresholds.tolist()):
+                tree, node = step[i].tree, step[i].node
+                tree.feature[node], tree.threshold[node] = f, threshold
+                parents += [tree, tree]
+                right_of += [node, -1]  # the left child is pushed last, so it is popped first
+            if parents:
+                order = np.argsort(_sort_keys(side, len(parents)), kind="stable")
+                lengths = np.bincount(side, minlength=len(parents))
+                self._push(parents, rows[order], lengths, right_of)
+            for search in step:
                 queue.extend(self._next_search(search.tree))
-        # Each tree's nodes ([feature, threshold, left, right, counts]) follow the tree before.
-        feature, threshold, left, right, counts = zip(*(node for nodes in forest for node in nodes))
-        index = lambda values: np.array(values, dtype=np.intp)
-        threshold, counts = np.array(threshold, dtype=float), np.array(counts, dtype=float)
-        sizes = index([len(nodes) for nodes in forest])
-        return index(feature), threshold, index(left), index(right), counts, sizes
+        table = np.concatenate(self.table, dtype=float)
+        self.table, self.filled = [], 0
+        forests = range(len(self.sizes))
+        return [self._arrays([tree for tree in grown if tree.forest == i], table) for i in forests]
 
-    def _next_search(self, tree) -> list:
+    def _push(self, trees: list, rows: np.ndarray, lengths, right_of: list) -> None:
+        """Push the samples laid end to end in `rows`, lengths[i] rows each
+
+        (none empty), onto the stack of trees[i], in order, each with its class
+        totals, whether it may split (it holds two classes and room for two
+        leaves) and the entries in its rows, all found at once.
+        """
+        k, m, lengths = self.k, len(trees), np.asarray(lengths)
+        starts = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(m), lengths)
+        totals = np.bincount(owner * k + self.labels[rows], minlength=m * k).reshape(m, k)
+        by_rows = np.add.reduceat(self.row_nnz[rows], starts).tolist()
+        splits = (np.count_nonzero(totals, axis=1) > 1) & (lengths >= 2 * self.cfg.min_samples_leaf)
+        first, self.filled = self.filled, self.filled + m
+        self.table.append(totals)
+        bounds = zip(starts.tolist(), (starts + lengths).tolist())
+        for i, (tree, split, (a, b)) in enumerate(zip(trees, splits.tolist(), bounds)):
+            sample = rows[a:b].copy()  # a copy, so that no sample keeps the whole of `rows` alive
+            tree.stack.append((sample, totals[i], first + i, right_of[i], split, by_rows[i]))
+
+    def _next_search(self, tree: _Tree) -> list:
         """Number the tree's nodes up to the next one to split, leaves as they
 
         are popped: [its _Search], or [] once the tree is grown.
         """
-        rng, stack, nodes = tree
-        while stack:
-            rows, parent, side = stack.pop()
-            if parent is not None:
-                parent[side] = len(nodes)
-            totals = np.bincount(self.labels[rows], minlength=self.k)
-            nodes.append([-1, 0.0, -1, -1, totals.astype(float)])
-            if np.count_nonzero(totals) > 1 and len(rows) >= 2 * self.cfg.min_samples_leaf:
-                candidates = rng.choice(self.X.dimension, size=self.max_feats, replace=False)
-                by_rows, by_columns = self.row_nnz[rows].sum(), self.col_nnz[candidates].sum()
+        while tree.stack:
+            rows, totals, row, right_of, split, by_rows = tree.stack.pop()
+            node = len(tree.feature)
+            if right_of >= 0:
+                tree.right[right_of] = node
+            tree.feature.append(-1)
+            tree.threshold.append(0.0)
+            tree.right.append(-1)
+            tree.totals.append(row)
+            if split:
+                candidates = tree.rng.choice(self.X.dimension, size=self.max_feats, replace=False)
+                by_columns = self.col_nnz[tree.forest, candidates].sum()
                 columns = self._reads_columns(by_rows, by_columns)
                 reads = by_columns if columns else by_rows
-                return [_Search(tree, nodes[-1], rows, totals, candidates, columns, reads)]
+                return [_Search(tree, node, rows, totals, candidates, columns, reads, tree.forest)]
         return []
+
+    def _arrays(self, trees: list, table: np.ndarray) -> tuple:
+        """grow's arrays of the grown trees, from their columns and the table."""
+        def join(name, dtype):
+            return np.concatenate([np.array(getattr(tree, name), dtype) for tree in trees])
+
+        sizes = np.array([len(tree.feature) for tree in trees], dtype=np.intp)
+        feature, threshold = join("feature", np.intp), join("threshold", float)
+        right, totals = join("right", np.intp), join("totals", np.intp)
+        counts = table[totals]
+        split = feature >= 0
+        counts[split] = 0.0
+        node = np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return feature, threshold, np.where(split, node + 1, -1), right, counts, sizes
 
     def _reads_columns(self, by_rows: int, by_columns: int) -> bool:
         """Whether a node reads its candidates' columns rather than its rows,
@@ -490,14 +562,17 @@ class _TreeGrower:
         """The same entries read from the given nodes' candidates' columns,
 
         each once, its weight the number of copies of its row in the node,
-        looked up by (p, row).
+        looked up by (p, row). A node reads only its forest's prefix of each.
         """
         n, F = len(self.X), self.max_feats
         place, rows = np.arange(len(nodes)) * n, [step[i].rows for i in nodes]
         cells = np.repeat(place, [len(r) for r in rows]) + np.concatenate(rows)
         first = _run_starts(cells).nonzero()[0]  # rows are sorted: a row's copies are a run
         self.copies[cells[first]] = np.append(first[1:], len(cells)) - first
-        owner, pos = self.columns.positions(candidates[nodes].ravel())  # owner: p * F + j
+        forests = np.array([step[i].forest for i in nodes])
+        chosen = candidates[nodes]
+        lengths = self.col_nnz[forests[:, None], chosen].ravel()
+        owner, pos = self.columns.positions(chosen.ravel(), lengths)  # owner: p * F + j
         row = self.columns.indices[pos]
         weight = self.copies[np.repeat(place, F)[owner] + row]
         self.copies[cells[first]] = 0
@@ -505,16 +580,19 @@ class _TreeGrower:
         g = (nodes[:, None] * F + np.arange(F)).ravel()[owner[keep]]
         return g, self.columns.data[pos[keep]], row[keep], weight[keep]
 
-    def _best_splits(self, step: list, entries: tuple) -> list:
-        """Each searched node's (feature, threshold, goes-left mask over its
+    def _best_splits(self, step: list, entries: tuple) -> tuple:
+        """(nodes, features, thresholds, rows, side): the searched nodes that
 
-        rows) of least weighted Gini impurity, or None. Node i's candidate j is
-        g = i * F + j. Counts are positive, so each g's samples sort into its
-        zero segment, whose class counts are the node's totals minus those of
-        its nonzeros, then one segment per distinct nonzero value. Every
-        boundary of every node is scored at once, from running sums over each
-        g; in each node the first least one in (candidate, value) order wins.
-        The step's entries are _gather's (g, value, row, weight).
+        split, in step order, the feature and threshold of each one's split of
+        least weighted Gini impurity, their rows laid end to end, and the child
+        each row goes to: 2s for the right child of the s-th split node, 2s + 1
+        for its left child. Node i's candidate j is g = i * F + j. Counts are
+        positive, so each g's samples sort into its zero segment, whose class
+        counts are the node's totals minus those of its nonzeros, then one
+        segment per distinct nonzero value. Every boundary of every node is
+        scored at once, from running sums over each g; in each node the first
+        least one in (candidate, value) order wins. The step's entries are
+        _gather's (g, value, row, weight).
         """
         N, F, k, n = len(step), self.max_feats, self.k, len(self.X)
         G = N * F
@@ -561,9 +639,9 @@ class _TreeGrower:
         min_leaf = self.cfg.min_samples_leaf
         boundary = (seg_g[1:] == seg_g[:-1]) & (nl[:-1] >= min_leaf) & (nr[:-1] >= min_leaf)
         boundary = boundary.nonzero()[0]
-        splits = [None] * N
         if boundary.size == 0:
-            return splits
+            none = np.zeros(0, np.intp)
+            return none, none, np.zeros(0), none, none
         nl, nr = nl[boundary], nr[boundary]
         sq_left, sq_right = sq_left[boundary], sq_right[boundary]
         gini = lambda sq, n: 1.0 - sq / n**2
@@ -576,14 +654,21 @@ class _TreeGrower:
         lo, hi = value[first[best]], value[first[best + 1]]
         mid = (lo + hi) / 2.0
         thresholds = np.where(mid < hi, mid, lo)  # the midpoint may round up to hi if adjacent
-        ends = np.append(heads[1:], len(g))
-        for gb, threshold in zip(seg_g[best], thresholds):
-            (i, j), entries = divmod(gb, F), slice(heads[gb], ends[gb])
-            self.x[owner[entries]] = value[entries]
-            go_left = self.x[step[i].rows] <= threshold
-            self.x[owner[entries]] = 0.0
-            splits[i] = (step[i].candidates[j], threshold, go_left)
-        return splits
+        nodes, j = np.divmod(seg_g[best], F)
+        features = np.array([search.candidates for search in step])[nodes, j]
+        # A row goes right if it has an entry past the best boundary (in the best g's last
+        # segments); the threshold is never negative, so a row without one goes left.
+        above, ends = first[best + 1], np.append(heads[1:], len(g))[seg_g[best]]
+        count = ends - above
+        at = np.repeat(above - np.cumsum(count) + count, count) + np.arange(count.sum())
+        cells = np.repeat(np.arange(len(nodes)) * n, count) + owner[at]
+        self.copies[cells] = 1
+        rows = [step[i].rows for i in nodes.tolist()]
+        place = np.repeat(np.arange(len(nodes)), [len(r) for r in rows])
+        rows = np.concatenate(rows)
+        side = 2 * place + (self.copies[place * n + rows] == 0)
+        self.copies[cells] = 0
+        return nodes, features, thresholds, rows, side
 
 
 def _fork_worker(grower: _TreeGrower, trees) -> tuple:
@@ -622,7 +707,7 @@ def _fork_worker(grower: _TreeGrower, trees) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def _grow_in_workers(grower: _TreeGrower, shares: list) -> list[tuple]:
+def _grow_in_workers(grower: _TreeGrower, shares: list) -> list:
     """Each share's arrays: the first grown here, the others in forked
 
     workers. If anything fails, the workers not yet reaped are killed and
@@ -656,20 +741,37 @@ def _grow_in_workers(grower: _TreeGrower, shares: list) -> list[tuple]:
             os.waitpid(pid, 0)
 
 
-def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
-    """Grow n_trees CART trees on bootstrap resamples. Each tree's RNG stream
+def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) -> list[RfModel]:
+    """One forest per size, all grown in one pass: forest i holds n_trees CART
 
-    derives from (seed, tree index), so the result is seed-deterministic, and
-    the same however many processes grow it: the trees are split into
-    contiguous shares, one per worker process, and concatenated in order.
+    trees on bootstrap resamples of the first sizes[i] rows, tree t drawing
+    from the RNG stream (seed, t), so it is the forest rf_fit grows on those
+    rows. The result is seed-deterministic, and the same however many
+    processes grow it: each process grows one contiguous share of every
+    forest's trees, all in one lockstep, and the shares are joined in order.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a random forest on an empty dataset")
-    grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg)
-    workers = _worker_count(cfg.n_trees, len(dataset))
-    shares = np.array_split(np.arange(cfg.n_trees), workers)
-    arrays = map(np.concatenate, zip(*_grow_in_workers(grower, shares)))
-    return RfModel(dataset.dimension, dataset.num_classes, *_renumber(*arrays))
+    if not all(1 <= size <= len(dataset) for size in sizes):
+        raise ValueError(f"forest sizes must lie in [1, {len(dataset)}], got {list(sizes)}")
+    splits = np.array_split(np.arange(cfg.n_trees), _worker_count(cfg.n_trees, sum(sizes)))
+    shares = [[(i, t) for i in range(len(sizes)) for t in split.tolist()] for split in splits]
+    grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg, sizes)
+    parts = _grow_in_workers(grower, shares)
+    del grower  # its columns and scratch, before the forests are joined
+    models = []
+    for _ in sizes:  # each share's arrays of the next forest, let go once joined
+        arrays = map(np.concatenate, zip(*(part.pop(0) for part in parts)))
+        models.append(RfModel(dataset.dimension, dataset.num_classes, *_renumber(*arrays)))
+    return models
+
+
+def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:
+    """Grow n_trees CART trees on bootstrap resamples of every row: the one
+
+    forest of rf_fit_prefixes.
+    """
+    return rf_fit_prefixes(dataset, [len(dataset)], cfg)[0]
 
 
 # rf_predict_proba walks at most this many rows at once. A block's dense table

@@ -103,6 +103,14 @@ def _predict_labels(ar: ModelArchive, texts: list[str], selector: str) -> list[i
     return [int(c) for probs in _predict_chunks(ar, texts, selector) for c in probs.argmax(axis=1)]
 
 
+def _vectorize(corpus: RawCorpus, policy: AsciiPolicy, features: FeatureConfig):
+    """vectorize_corpus, with a vocabulary that --min-df leaves empty a data error."""
+    vocab, dataset = vectorize_corpus(corpus, policy, features)
+    if vocab.size == 0:
+        raise DataError(f"no n-gram occurs in --min-df {features.min_df} tweets; lower it")
+    return vocab, dataset
+
+
 def cmd_train(args) -> int:
     with _flag_values():
         features = FeatureConfig(min_df=args.min_df)
@@ -124,9 +132,7 @@ def cmd_train(args) -> int:
         if emptied:
             raise DataError(f"--split {args.split} holds out every tweet of class {emptied[0]}")
 
-    vocab, dataset = vectorize_corpus(corpus, policy, features)
-    if vocab.size == 0:
-        raise DataError(f"no n-gram occurs in --min-df {features.min_df} tweets; lower it")
+    vocab, dataset = _vectorize(corpus, policy, features)
     print(f"corpus: {len(corpus)} tweets, {corpus.num_classes} classes")
     print(
         f"vocabulary: {vocab.size} features "
@@ -222,7 +228,7 @@ def cmd_resample(args) -> int:
         features = FeatureConfig(min_df=args.min_df)
         smote_cfg = SmoteConfig(k_neighbors=args.smote_k, seed=args.seed)
     corpus = load_corpus(args.text, args.labels, args.classes)
-    vocab, dataset = vectorize_corpus(corpus, AsciiPolicy(args.ascii_policy), features)
+    vocab, dataset = _vectorize(corpus, AsciiPolicy(args.ascii_policy), features)
     plan = plan_resample(dataset)
     print(f"vocabulary: {vocab.size} features")
     for c, (n, s) in enumerate(zip(plan.original_counts, plan.synthetic_counts)):

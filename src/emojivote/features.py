@@ -63,13 +63,15 @@ class CsrMatrix:
         """The row of every stored entry, in entry order."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
-    def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def positions(self, rows: np.ndarray, lengths=None) -> tuple[np.ndarray, np.ndarray]:
         """(owner, position) of every entry of the given rows, row after row: owner
 
         is the row's place in `rows`, position the entry's in indices and data.
+        Given `lengths`, only the first lengths[i] entries of rows[i].
         """
         starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
+        if lengths is None:
+            lengths = self.indptr[rows + 1] - starts
         owner = np.repeat(np.arange(len(rows)), lengths)
         return owner, np.arange(len(owner)) + (starts - np.cumsum(lengths) + lengths)[owner]
 
@@ -88,11 +90,16 @@ class CsrMatrix:
         return from_entries(self.indices[order], rows, self.data[order], self.dimension, len(self))
 
 
-def from_entries(rows, indices, data, n: int, dimension: int) -> CsrMatrix:
-    """n rows holding data[e] at (rows[e], indices[e]), entries sorted by row, then column."""
+def _indptr(rows, n: int) -> np.ndarray:
+    """The indptr of n rows, given the sorted row of every entry."""
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return CsrMatrix(indptr, indices, data, dimension)
+    return indptr
+
+
+def from_entries(rows, indices, data, n: int, dimension: int) -> CsrMatrix:
+    """n rows holding data[e] at (rows[e], indices[e]), entries sorted by row, then column."""
+    return CsrMatrix(_indptr(rows, n), indices, data, dimension)
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,8 @@ def build_vocabulary(bags: list[Counter], cfg: FeatureConfig) -> Vocabulary:
     )
 
 
-def vectorize(bags: list[Counter], vocab: Vocabulary) -> CsrMatrix:
-    """One count row per bag over the vocabulary; OOV grams ignored."""
+def _count_entries(bags: list[Counter], vocab: Vocabulary) -> tuple:
+    """(row, column, count) of the bags' in-vocabulary grams, sorted by row, then column."""
     n, grams = len(bags), sum(map(len, bags))
     lookup = map(vocab.feature_to_index.get, chain.from_iterable(bags), repeat(-1))
     columns = np.fromiter(lookup, np.intp, grams)
@@ -139,7 +146,12 @@ def vectorize(bags: list[Counter], vocab: Vocabulary) -> CsrMatrix:
     kept = columns >= 0
     rows, columns, counts = rows[kept], columns[kept], counts[kept]
     order = np.argsort(rows * vocab.size + columns)  # keys are unique: by row, then column
-    return from_entries(rows, columns[order], counts[order], n, vocab.size)  # rows are sorted
+    return rows, columns[order], counts[order]  # rows are sorted
+
+
+def vectorize(bags: list[Counter], vocab: Vocabulary) -> CsrMatrix:
+    """One count row per bag over the vocabulary; OOV grams ignored."""
+    return from_entries(*_count_entries(bags, vocab), len(bags), vocab.size)
 
 
 def ngram_bags(texts: list[str], policy: AsciiPolicy) -> list[Counter]:
@@ -153,9 +165,10 @@ def vectorize_corpus(
     """Full text pipeline: normalize, tokenize, n-grams, vocabulary, count rows."""
     bags = ngram_bags(corpus.texts, policy)
     vocab = build_vocabulary(bags, cfg)
-    X = vectorize(bags, vocab)
+    rows, columns, counts = _count_entries(bags, vocab)
     labels, k = np.asarray(corpus.labels, dtype=np.intp), corpus.num_classes
-    return vocab, LabeledDataset(X.indptr, X.indices, X.data, X.dimension, labels, k)
+    indptr = _indptr(rows, len(bags))
+    return vocab, LabeledDataset(indptr, columns, counts, vocab.size, labels, k)
 
 
 def text_to_vector(texts: list[str] | str, policy: AsciiPolicy, vocab: Vocabulary) -> CsrMatrix:

@@ -1,6 +1,7 @@
 """Shared builders for tests: dense/sparse conversion and synthetic corpora."""
 
 import dataclasses
+import os
 
 import numpy as np
 
@@ -97,3 +98,17 @@ def accent_corpus(n: int, seed: int) -> RawCorpus:
         texts.append(" ".join(toks))
         labels.append(c)
     return RawCorpus(texts=texts, labels=labels, num_classes=3)
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """The pids of the children os.fork makes from now on."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids

@@ -21,7 +21,9 @@ from emojivote.features import (
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig, smote
 
-from helpers import csr_from_dense, csr_from_rows, dataset_from_dense, skewed_corpus, with_labels
+from helpers import (
+    csr_from_dense, csr_from_rows, dataset_from_dense, record_forks, skewed_corpus, with_labels,
+)
 import fit_oracle
 from rf_oracle import TreeNode, oracle_fit, pack
 
@@ -325,6 +327,83 @@ class TestLockstep:
         assert_same_forest(*forests)
 
 
+def every_class_present(dataset):
+    """The dataset with its labels renumbered over the classes that have rows,
+
+    so that SMOTE can plan it.
+    """
+    present, labels = np.unique(dataset.labels, return_inverse=True)
+    return with_labels(dataset, labels, len(present))
+
+
+class TestPrefixes:
+    """Forests grown in one pass on nested prefixes of a SMOTE set, whose first
+
+    rows are the original ones, each equal the oracle's forest on its prefix,
+    along every path, at any step cap.
+    """
+
+    @pytest.mark.parametrize("gather", ["rows", "columns"])
+    @pytest.mark.parametrize("cap", ["one node", 50, "every tree"])
+    @settings(max_examples=20, deadline=None)
+    @given(case=forest_cases(), n_trees=st.sampled_from([1, 2, 3, 20]),
+           workers=st.integers(1, 3), whole=st.booleans())
+    def test_smote_prefixes(self, gather, cap, case, n_trees, workers, whole):
+        dataset, cfg = case
+        dataset = every_class_present(dataset)
+        oversampled = smote(dataset, SmoteConfig(seed=cfg.seed))
+        cfg = dataclasses.replace(cfg, n_trees=n_trees)
+        sizes = [len(oversampled)] * 2 if whole else [len(dataset), len(oversampled)]
+        limit = {"one node": 0, "every tree": 2**62}.get(cap, cap)
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, gather, workers)
+            mp.setattr(classifiers, "STEP_ENTRIES", limit)
+            record_steps(mp, steps)
+            forests = classifiers.rf_fit_prefixes(oversampled, sizes, cfg)
+        assert len(forests) == 2
+        for forest, size in zip(forests, sizes):
+            prefix = with_labels(oversampled.take(np.arange(size)), oversampled.labels[:size],
+                                 oversampled.num_classes)
+            assert_same_forest(forest, oracle_fit(prefix, cfg))
+        for trees, size in steps:
+            assert len(set(trees)) == len(trees)  # at most one node of each tree
+            assert size <= limit or len(trees) == 1
+
+    def test_nodes_read_their_prefix(self):
+        _, d = vectorize_corpus(
+            skewed_corpus(300, seed=11), AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=2)
+        )
+        oversampled = smote(d, SmoteConfig(seed=0))
+        sizes = [len(d), len(oversampled)]
+        row_nnz = np.diff(oversampled.indptr)
+        col_nnz = [np.bincount(oversampled.indices[: oversampled.indptr[s]], minlength=d.dimension)
+                   for s in sizes]
+        forests, gather = collections.Counter(), classifiers._TreeGrower._gather
+
+        def recording(self, step):
+            for search in step:
+                assert search.rows.max() < sizes[search.forest]
+                by_rows = row_nnz[search.rows].sum()
+                by_columns = col_nnz[search.forest][search.candidates].sum()
+                assert search.reads == min(by_rows, by_columns)
+                forests[search.forest, bool(search.by_columns)] += 1
+            return gather(self, step)
+
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, workers=1)
+            mp.setattr(classifiers._TreeGrower, "_gather", recording)
+            classifiers.rf_fit_prefixes(oversampled, sizes, RfConfig(n_trees=5, seed=3))
+        assert set(forests) == {(0, False), (0, True), (1, False), (1, True)}
+
+    @pytest.mark.parametrize("size", [0, "past the end"])
+    def test_sizes_checked(self, size):
+        d = make_consistent_dataset(seed=2)
+        size = len(d) + 1 if size == "past the end" else size
+        with pytest.raises(ValueError, match="forest sizes"):
+            classifiers.rf_fit_prefixes(d, [len(d), size])
+
+
 def weighted(entries) -> collections.Counter:
     """(candidate place, value, row) -> total weight, of gathered entries."""
     cand, value, row, weight = entries
@@ -424,20 +503,6 @@ class TestStepGather:
                 mp.setattr(classifiers._TreeGrower, name, counted)
             rf_fit(make_consistent_dataset(seed=1), RfConfig(n_trees=3, seed=1))
         assert set(calls) == {"_row_entries" if gather == "rows" else "_column_entries"}
-
-
-def record_forks(monkeypatch) -> list[int]:
-    """The pids of the children os.fork makes from now on."""
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
 
 
 def assert_reaped(pids):

@@ -333,6 +333,14 @@ class TestStatsAndResample:
         out = capsys.readouterr().out
         assert "resampled size:" in out
 
+    def test_resample_empty_vocabulary_is_data_error(self, toy_files, capsys):
+        rc = main(["resample", str(toy_files / "t.txt"), str(toy_files / "l.txt"),
+                   "-k", "3", "--min-df", "100000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "no n-gram occurs in --min-df 100000 tweets" in captured.err
+        assert "resampled size:" not in captured.out
+
 
 # (command, input, defect): each input of each command that reads text, given
 # as a directory, and each text input holding a byte that is not UTF-8.
@@ -403,16 +411,32 @@ def test_no_command_imports_numpy_ma(toy_files, tmp_path):
         ["resample", text, labels, "-k", "3", "--min-df", "2"],
         ["stats", text, labels, "-k", "3"],
     ]
+    assert_commands_skip(commands, "numpy.ma")
+
+
+def test_predicting_imports_no_numpy_random(trained_model, toy_files, tmp_path):
+    # Importing numpy.random costs a process about 2.5 MB of peak RSS; only fits draw.
+    text, labels, model = str(toy_files / "t.txt"), str(toy_files / "l.txt"), str(trained_model)
+    commands = [
+        ["predict", model, text, "--proba", "-o", str(tmp_path / "p.txt")],
+        ["evaluate", model, text, labels, "--report", str(tmp_path / "r.txt")],
+        ["stats", text, labels, "-k", "3"],
+    ]
+    assert_commands_skip(commands, "numpy.random")
+
+
+def assert_commands_skip(commands, module: str):
+    """Run the commands in one fresh process, which must not import `module`."""
     script = (
         "import json, sys\n"
         "from emojivote.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
-        "assert 'numpy.ma' not in sys.modules, 'a command imported numpy.ma'\n"
+        "assert sys.argv[2] not in sys.modules, 'a command imported ' + sys.argv[2]\n"
     )
     src = str(Path(emojivote.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands), module], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from emojivote import classifiers
 from emojivote.classifiers import LrConfig, RfConfig
 from emojivote.ensemble import (
     LANGUAGE_BASE_WEIGHTS,
@@ -15,9 +17,11 @@ from emojivote.ensemble import (
     build_meta,
     vote_proba,
 )
-from emojivote.resample import SmoteConfig
+from emojivote.features import FeatureConfig, vectorize_corpus
+from emojivote.preprocess import AsciiPolicy
+from emojivote.resample import SmoteConfig, smote
 
-from helpers import dataset_from_dense
+from helpers import dataset_from_dense, record_forks, skewed_corpus
 
 
 class FixedModel:
@@ -179,3 +183,47 @@ class TestBuild:
             p2 = meta.ensemble2.predict_proba(row)
             assert p1 == pytest.approx(p2)
             assert meta.predict_proba(row) == pytest.approx(p1)
+
+
+def assert_same_member(model, reference):
+    assert type(model) is type(reference)
+    for field in dataclasses.fields(model):
+        got, want = getattr(model, field.name), getattr(reference, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
+
+
+class TestBuildMeta:
+    """build_meta fits each member as build_base_ensemble does, growing both
+
+    forests in one pass.
+    """
+
+    SMOTE = SmoteConfig(seed=1)
+    WEIGHTS = (1.5, 6.0, 1.0)
+    CONFIGS = dict(lr_cfg=LrConfig(max_iters=30), rf_cfg=RfConfig(n_trees=4, seed=2))
+
+    def fit(self):
+        _, d = vectorize_corpus(
+            skewed_corpus(120, seed=3), AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=2)
+        )
+        return d, build_meta(d, self.SMOTE, (4.0, 1.0), self.WEIGHTS, **self.CONFIGS)
+
+    def test_members_equal_member_by_member_fits(self):
+        d, meta = self.fit()
+        oversampled = smote(d, self.SMOTE)
+        assert len(oversampled) > len(d)
+        for ensemble, data in (meta.ensemble1, d), (meta.ensemble2, oversampled):
+            reference = build_base_ensemble(data, self.WEIGHTS, **self.CONFIGS)
+            assert ensemble.weights == reference.weights
+            for member, want in zip(ensemble.members, reference.members, strict=True):
+                assert_same_member(member, want)
+
+    def test_forks_once_with_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        pids = record_forks(monkeypatch)
+        self.fit()
+        assert len(pids) == 1

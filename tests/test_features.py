@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from emojivote.corpus import RawCorpus
 from emojivote.features import (
+    CsrMatrix,
     FeatureConfig,
     LabeledDataset,
     build_vocabulary,
@@ -134,6 +135,18 @@ class TestVectorizeCorpus:
             for feat in candidates:
                 df = sum(1 for b in bags if feat in b)
                 assert (feat in vocab.feature_to_index) == (df >= 5)
+
+    def test_layout_checked_once(self, monkeypatch):
+        validate, checked = CsrMatrix.__post_init__, []
+
+        def counting(self):
+            checked.append(type(self))
+            validate(self)
+
+        monkeypatch.setattr(CsrMatrix, "__post_init__", counting)
+        corpus = RawCorpus(["a b", "b c", "a c", "c"], [0, 1, 0, 1], 2)
+        vectorize_corpus(corpus, AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=1))
+        assert checked == [LabeledDataset]
 
 
 words_strategy = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=5)
