@@ -62,26 +62,40 @@ class _Reader:
 def check_output_path(path) -> Path:
     """`path` as a Path; a DataError naming it unless its directory exists
 
-    and it is not a directory itself.
+    and it is new or, once symlinks are followed, a regular file.
     """
     path = Path(path)
-    if path.is_dir():
-        raise DataError(f"{path}: is a directory")
+    if path.exists() and not path.is_file():  # a directory, FIFO or device is never replaced
+        raise DataError(f"{path}: not a regular file")
     if not path.parent.is_dir():
         raise DataError(f"{path}: no directory {path.parent}")
     return path
 
 
+def _new_file_mode(path: Path) -> int:
+    """The permission bits `path` has, or that open() would give a new file."""
+    if path.exists():
+        return path.stat().st_mode & 0o777
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 @contextmanager
 def atomic_file(path, mode: str = "w+b", **kwargs):
-    """A temp file beside `path` that replaces it when the block succeeds and
+    """A temp file beside `path`, with the mode `path` has or would get, that
 
-    is removed when the block fails, so `path` is never left half written.
+    replaces it when the block succeeds and is removed when the block fails,
+    so `path` is never left half written.
     """
     path = check_output_path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError as exc:  # an unwritable directory, say: name `path`, not the temp file
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
+            os.fchmod(fd, _new_file_mode(path))
             yield fh
         os.replace(tmp, path)
     except BaseException:

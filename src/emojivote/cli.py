@@ -252,10 +252,11 @@ def cmd_stats(args) -> int:
 def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by `train` and `resample`; `resample` takes `--lang` but ignores it."""
     p.add_argument("-k", "--classes", type=int, required=True)
-    p.add_argument("--lang", choices=("en", "es"), default="en")
-    p.add_argument("--ascii-policy", choices=("strip-all", "keep-most"), default="keep-most")
-    p.add_argument("--min-df", type=int, default=5)
-    p.add_argument("--smote-k", type=int, default=5)
+    p.add_argument("--lang", choices=sorted(LANGUAGE_BASE_WEIGHTS), default="en")
+    policies = [policy.value for policy in AsciiPolicy]
+    p.add_argument("--ascii-policy", choices=policies, default=AsciiPolicy.KEEP_MOST.value)
+    p.add_argument("--min-df", type=int, default=FeatureConfig.min_df)
+    p.add_argument("--smote-k", type=int, default=SmoteConfig.k_neighbors)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -270,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="model archive output path")
     p.add_argument("--split", type=float, default=None, help="held-out fraction (stratified)")
     p.add_argument("--selector", choices=SELECTORS, default="meta")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--trees", type=int, default=20)
+    p.add_argument("--alpha", type=float, default=MnbConfig.alpha)
+    p.add_argument("--l2", type=float, default=LrConfig.l2_strength)
+    p.add_argument("--trees", type=int, default=RfConfig.n_trees)
     p.add_argument("--base-weights", default=None, metavar="W1,W2,W3")
     p.add_argument("--meta-weights", default=None, metavar="W1,W2")
     p.set_defaults(func=cmd_train)
@@ -314,6 +315,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "classes", 2) < 2:  # checked before any file is read
+            raise UsageError(f"-k must be at least 2, got {args.classes}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ import itertools
 
 import numpy as np
 
-import emojivote as ev
 from emojivote.archive import ModelArchive, archive_load, archive_save
 from emojivote.classifiers import (
     LrConfig,
@@ -18,6 +17,7 @@ from emojivote.classifiers import (
     mnb_fit,
     mnb_predict_proba,
 )
+from emojivote.corpus import RawCorpus
 from emojivote.ensemble import build_meta, vote_proba
 from emojivote.features import (
     FeatureConfig,
@@ -242,7 +242,7 @@ def test_end_to_end_determinism_and_round_trip(tmp_path):
     words = [f"w{i}" for i in range(10)]
     texts = [" ".join(rng.choice(words, size=4)) for _ in range(60)]
     labels = [int(v) for v in rng.integers(0, 3, 60)]
-    corpus = ev.RawCorpus(texts, labels, 3)
+    corpus = RawCorpus(texts, labels, 3)
 
     def train_once():
         vocab, dataset = vectorize_corpus(corpus, AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=2))
@@ -278,7 +278,7 @@ def test_feature_pipeline():
     words = [f"w{i}" for i in range(12)]
     for trial in range(5):
         texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 7)))) for _ in range(50)]
-        corpus = ev.RawCorpus(texts, [0] * 50, 2)
+        corpus = RawCorpus(texts, [0] * 50, 2)
         vocab, _ = vectorize_corpus(corpus, AsciiPolicy.KEEP_MOST, FeatureConfig(min_df=5))
         bags = [extract_ngrams(tokenize(t)) for t in texts]
         candidates = set(itertools.chain.from_iterable(bags))

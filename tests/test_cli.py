@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +400,86 @@ def test_unwritable_output_fails_before_any_work(trained_model, toy_files, tmp_p
     assert captured.err.startswith(f"data error: {out}: ")
     assert captured.out == ""  # nothing was read, fitted or scored first
     assert sorted(tmp_path.iterdir()) == before
+
+
+OUTPUT_COMMANDS = [("train", "-o"), ("predict", "-o"), ("evaluate", "--report"), ("evaluate", "--matrix")]
+
+
+def output_argv(command, flag, out, toy_files, trained_model):
+    text, labels, model = str(toy_files / "t.txt"), str(toy_files / "l.txt"), str(trained_model)
+    return {
+        "train": ["train", text, labels, "-k", "3"] + TRAIN_FLAGS,
+        "predict": ["predict", model, text],
+        "evaluate": ["evaluate", model, text, labels],
+    }[command] + [flag, str(out)]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_fifo_is_not_replaced(self, trained_model, toy_files, tmp_path, capsys, command, flag):
+        out = tmp_path / "fifo"
+        os.mkfifo(out)
+        assert main(output_argv(command, flag, out, toy_files, trained_model)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {out}: not a regular file\n"
+        assert captured.out == ""
+        assert stat.S_ISFIFO(out.lstat().st_mode)
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_new_file_gets_the_umask_mode(self, trained_model, toy_files, tmp_path, umask_022, command, flag):
+        out = tmp_path / "out"
+        assert main(output_argv(command, flag, out, toy_files, trained_model)) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_replaced_file_keeps_its_mode(self, trained_model, toy_files, tmp_path, umask_022, command, flag):
+        out = tmp_path / "out"
+        out.write_text("old\n")
+        out.chmod(0o604)
+        assert main(output_argv(command, flag, out, toy_files, trained_model)) == 0
+        assert out.read_bytes() != b"old\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_temp_file_failure_names_the_output(self, trained_model, toy_files, tmp_path, capsys, monkeypatch,
+                                                command, flag):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path / "tmpXXXX.tmp"))
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        out = tmp_path / "out"
+        assert main(output_argv(command, flag, out, toy_files, trained_model)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {out}: cannot write: Permission denied\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "resample", "stats"])
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+def test_fewer_than_two_classes_is_usage_error(tmp_path, capsys, command, k):
+    # The files do not exist: reading them first would be a data error (exit 2).
+    argv = [command, str(tmp_path / "t.txt"), str(tmp_path / "l.txt"), "-k", k]
+    if command == "train":
+        argv += ["-o", str(tmp_path / "m.bin")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: -k must be at least 2, got {k}\n"
+
+
+def test_importing_text_modules_skips_numpy():
+    # The package root imports nothing, so these modules load without numpy.
+    script = "import sys, emojivote.corpus, emojivote.preprocess, emojivote.exceptions\n" \
+             "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(emojivote.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_no_command_imports_numpy_ma(toy_files, tmp_path):
