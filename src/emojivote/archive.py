@@ -60,11 +60,16 @@ class _Reader:
 
 
 def check_output_path(path) -> Path:
-    """`path` as a Path; a DataError naming it unless its directory exists
+    """`path` as a Path; a DataError naming it unless its symlinks resolve,
 
-    and it is new or, once symlinks are followed, a regular file.
+    its directory exists, and it is new or, once symlinks are followed, a
+    regular file.
     """
     path = Path(path)
+    try:
+        path.resolve()
+    except (OSError, RuntimeError) as exc:  # a symlink loop; RuntimeError before Python 3.13
+        raise DataError(f"{path}: cannot follow its symlinks") from exc
     if path.exists() and not path.is_file():  # a directory, FIFO or device is never replaced
         raise DataError(f"{path}: not a regular file")
     if not path.parent.is_dir():
@@ -86,18 +91,20 @@ def atomic_file(path, mode: str = "w+b", **kwargs):
     """A temp file beside `path`, with the mode `path` has or would get, that
 
     replaces it when the block succeeds and is removed when the block fails,
-    so `path` is never left half written.
+    so `path` is never left half written. A symlink is written through: the
+    temp file goes beside, and replaces, the file it resolves to.
     """
     path = check_output_path(path)
+    target = path.resolve()
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     except OSError as exc:  # an unwritable directory, say: name `path`, not the temp file
         raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
-            os.fchmod(fd, _new_file_mode(path))
+            os.fchmod(fd, _new_file_mode(target))
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise

@@ -37,6 +37,9 @@ class CsrMatrix:
 
     counts data[indptr[i]:indptr[i + 1]] at strictly increasing column
     indices[indptr[i]:indptr[i + 1]]. A row may be empty (every gram OOV).
+    Building one checks that layout with one bool of scratch per entry and
+    per row: order compares each index with the one before it, and bounds
+    are a min and a max.
     """
 
     indptr: np.ndarray  # (n + 1,) intp, indptr[0] == 0
@@ -45,15 +48,19 @@ class CsrMatrix:
     dimension: int
 
     def __post_init__(self):
-        if self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
+        indptr, indices = self.indptr, self.indices
+        if indptr[0] != 0 or np.any(indptr[:-1] > indptr[1:]):
             raise ValueError("indptr must start at 0 and never decrease")
-        if not len(self.indices) == len(self.data) == self.indptr[-1]:
+        if not len(indices) == len(self.data) == indptr[-1]:
             raise ValueError("indices and data must hold indptr[-1] entries")
-        # Each index must exceed its predecessor in the row, with -1 standing
-        # in before a row's first entry, and stay below the dimension.
-        previous = np.concatenate(([-1], self.indices))[:-1]
-        previous[self.indptr[:-1][np.diff(self.indptr) > 0]] = -1
-        if not np.all((previous < self.indices) & (self.indices < self.dimension)):
+        # rising[e]: entry e starts a row or exceeds entry e - 1. indptr holds
+        # every row start (and nnz, a spare slot), empty rows' starts included.
+        rising = np.empty(len(indices) + 1, dtype=bool)
+        np.less(indices[:-1], indices[1:], out=rising[1:-1])
+        rising[indptr] = True
+        if not rising.all() or len(indices) and not (
+            0 <= indices.min() and indices.max() < self.dimension
+        ):
             raise ValueError("indices must lie in [0, dimension) and strictly increase within a row")
 
     def __len__(self) -> int:
@@ -117,9 +124,11 @@ class LabeledDataset(CsrMatrix):
         super().__post_init__()
         if len(self.labels) != len(self):
             raise ValueError("rows and labels must have equal length")
-        if not np.all((0 <= self.labels) & (self.labels < self.num_classes)):
+        # Written so that NaN, which every comparison fails, fails them too.
+        labels, data = self.labels, self.data
+        if len(labels) and not (0 <= labels.min() and labels.max() < self.num_classes):
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
-        if not np.all((0 < self.data) & (self.data < np.inf)):
+        if len(data) and not (0 < data.min() and data.max() < np.inf):
             raise ValueError("entry counts must be positive and finite")
 
 

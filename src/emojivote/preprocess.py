@@ -10,6 +10,7 @@ apostrophe, and keeps #hashtags / @mentions intact.
 import enum
 import unicodedata
 from collections import Counter
+from itertools import chain, islice
 
 
 class AsciiPolicy(enum.Enum):
@@ -102,8 +103,8 @@ def tokenize(text: str, memo: dict[str, list[str]] | None = None) -> list[str]:
 
 
 def extract_ngrams(tokens: list[str]) -> Counter:
-    """Multiset of unigrams and space-joined bigrams of a token sequence."""
-    bag: Counter = Counter(tokens)
-    for a, b in zip(tokens, tokens[1:]):
-        bag[f"{a} {b}"] += 1
-    return bag
+    """Multiset of unigrams and space-joined bigrams of a token sequence,
+
+    counted in one pass: the unigrams in order, then the bigrams.
+    """
+    return Counter(chain(tokens, map(" ".join, zip(tokens, islice(tokens, 1, None)))))

@@ -103,24 +103,91 @@ def nearest_neighbors(points: CsrMatrix, k: int, first: int | None = None) -> np
     return out
 
 
+def _keys(points: CsrMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of rows[0], rows[1], ... of points as sorted row-major keys
+
+    t * V + column, t the row's place in `rows`, and their positions.
+    """
+    owner, pos = points.positions(rows)
+    return owner * points.dimension + points.indices[pos], pos
+
+
+def _neighbor_only(
+    parent_keys: np.ndarray, neighbor_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each neighbor key, the parent keys below it, and whether none equals it.
+
+    Both are sorted, so this is a merge of the two by binary search, not a sort.
+    """
+    below = np.searchsorted(parent_keys, neighbor_keys)
+    if len(parent_keys) == 0:  # nothing to take from
+        return below, np.ones(len(neighbor_keys), dtype=bool)
+    # A key past the last parent key clips to it, which is below it: not equal.
+    return below, parent_keys.take(below, mode="clip") != neighbor_keys
+
+
+def _union_size(points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray) -> int:
+    """The entries of the unions `_merge` builds: over every t, the columns that
+
+    rows parents[t] and neighbors[t] of points hold between them.
+    """
+    parent_keys, _ = _keys(points, parents)
+    _, only = _neighbor_only(parent_keys, _keys(points, neighbors)[0])
+    return len(parent_keys) + np.count_nonzero(only)
+
+
+def _merge(
+    points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every t, the union of the columns of rows parents[t] and neighbors[t]
+
+    of points, as sorted row-major keys t * V + column, and the two rows on
+    it: a (2, union) array of x, then nn, each 0 where its row lacks the column.
+    """
+    (parent_keys, parent_pos), (neighbor_keys, neighbor_pos) = (
+        _keys(points, parents), _keys(points, neighbors)
+    )
+    below, only = _neighbor_only(parent_keys, neighbor_keys)
+    # A neighbor entry's slot in the union: the parent keys below it plus the
+    # neighbor-only keys before it. The parent entries fill the other slots, in order.
+    slot = below + np.cumsum(only) - only
+    from_parent = np.ones(len(parent_keys) + np.count_nonzero(only), dtype=bool)
+    from_parent[slot[only]] = False
+    union = np.empty(len(from_parent), dtype=np.intp)
+    union[from_parent] = parent_keys
+    union[slot] = neighbor_keys
+    ends = np.zeros((2, len(union)))
+    ends[0, from_parent] = points.data[parent_pos]
+    ends[1, slot] = points.data[neighbor_pos]
+    return union, ends
+
+
+def _interpolated(
+    points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray, gaps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, column, value) of the entries of every row t = x + gaps[t] * (nn - x),
+
+    x and nn the rows parents[t] and neighbors[t] of points, sorted by t, then
+    column. It is computed on the union of x's and nn's columns (it is exactly
+    0 elsewhere), and exact zeros are dropped.
+    """
+    union, (x, nn) = _merge(points, parents, neighbors)
+    row, column = np.divmod(union, points.dimension)
+    del union
+    # x + gaps * (nn - x) in nn's place: the same products and sums, so the same rounding.
+    nn -= x
+    nn *= gaps[row]
+    nn += x
+    keep = nn != 0
+    return row[keep], column[keep], nn[keep]
+
+
 def _interpolate(
     points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray, gaps: np.ndarray
 ) -> CsrMatrix:
-    """Row t is x + gaps[t] * (nn - x), x and nn the rows parents[t] and
-
-    neighbors[t] of points, computed on the union of their nonzeros (it is
-    exactly 0 elsewhere), with exact zeros dropped.
-    """
-    V, m = points.dimension, len(parents)
-    owner, pos = points.positions(np.concatenate((parents, neighbors)))  # owner // m: which end
-    union, slot = np.unique(owner % m * V + points.indices[pos], return_inverse=True)
-    ends = np.zeros((2, len(union)))  # x and nn on the union
-    ends[owner // m, slot] = points.data[pos]
-    row, index = np.divmod(union, V)
-    x, nn = ends
-    values = x + gaps[row] * (nn - x)
-    keep = values != 0
-    return from_entries(row[keep], index[keep], values[keep], m, V)
+    """The rows `_interpolated` gives, as a matrix."""
+    entries = _interpolated(points, parents, neighbors, gaps)
+    return from_entries(*entries, len(parents), points.dimension)
 
 
 def _bulk_draws(rng, k: int, quota: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -170,29 +237,46 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
     oversampled by duplication. Deterministic given the seed: each class uses
     an RNG stream derived from (seed, class index), drawing the neighbor and
     then g for one synthetic row after another.
+
+    Every class is planned first, as (parents, neighbors, gaps) in dataset
+    rows; a duplicated row is (p, p, 0), as x + 0 * (x - x) is x. The output
+    arrays are then sized from the planned rows' column unions, allocated
+    once, and filled class by class.
     """
-    plan = plan_resample(dataset)
-    parts, labels = [dataset], [dataset.labels]
-    for c in range(dataset.num_classes):
-        quota = plan.synthetic_counts[c]
+    plan = []  # (class, parents, neighbors, gaps)
+    for c, quota in enumerate(plan_resample(dataset).synthetic_counts):
         if quota == 0:
             continue
         members = np.flatnonzero(dataset.labels == c)
         n_c = len(members)
-        labels.append(np.full(quota, c, dtype=np.intp))
         if n_c == 1:
-            parts.append(dataset.take(np.repeat(members, quota)))
+            copies = np.repeat(members, quota)
+            plan.append((c, copies, copies, np.zeros(quota)))
             continue
         points = dataset.take(members)
         k = min(cfg.k_neighbors, n_c - 1)
         knn = nearest_neighbors(points, k, min(quota, n_c))
         parents = np.arange(quota) % n_c
         picks, gaps = _draws([cfg.seed, c], k, quota)
-        parts.append(_interpolate(points, parents, knn[parents, picks], gaps))
-    indptr = np.zeros(sum(map(len, parts)) + 1, dtype=np.intp)
-    np.cumsum(np.concatenate([np.diff(p.indptr) for p in parts]), out=indptr[1:])
-    indices = np.concatenate([p.indices for p in parts])
-    data = np.concatenate([p.data for p in parts])
+        plan.append((c, members[parents], members[knn[parents, picks]], gaps))
+    n, nnz = len(dataset), len(dataset.indices)
+    rows = n + sum(len(parents) for _, parents, _, _ in plan)
+    entries = nnz + sum(_union_size(dataset, p, nb) for _, p, nb, _ in plan)
+    indptr, labels = np.empty(rows + 1, dtype=np.intp), np.empty(rows, dtype=np.intp)
+    indices, data = np.empty(entries, dtype=np.intp), np.empty(entries)
+    indptr[: n + 1], labels[:n] = dataset.indptr, dataset.labels
+    indices[:nnz], data[:nnz] = dataset.indices, dataset.data
+    row, end = n, nnz
+    for c, parents, neighbors, gaps in plan:
+        owner, column, value = _interpolated(dataset, parents, neighbors, gaps)
+        m, stop = len(parents), end + len(column)
+        indptr[row + 1 : row + m + 1] = np.bincount(owner, minlength=m)  # row lengths for now
+        labels[row : row + m] = c
+        indices[end:stop], data[end:stop] = column, value
+        row, end = row + m, stop
+        del owner, column, value  # else alive while the next class is interpolated
+    np.cumsum(indptr[n:], out=indptr[n:])
+    # The unions sized the arrays; exact zeros dropped leave their last entries unused.
     return LabeledDataset(
-        indptr, indices, data, dataset.dimension, np.concatenate(labels), dataset.num_classes
+        indptr, indices[:end], data[:end], dataset.dimension, labels, dataset.num_classes
     )

@@ -449,6 +449,28 @@ class TestOutputFiles:
         assert stat.S_IMODE(out.stat().st_mode) == 0o604
 
     @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_symlink_is_written_through(self, trained_model, toy_files, tmp_path, umask_022, command, flag):
+        real, link = tmp_path / "real", tmp_path / "link"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link.symlink_to(real.name)
+        assert main(output_argv(command, flag, link, toy_files, trained_model)) == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_bytes() != b"old\n"
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_symlink_loop_fails_before_any_work(self, trained_model, toy_files, tmp_path, capsys, command, flag):
+        link = tmp_path / "link"
+        link.symlink_to(link.name)
+        assert main(output_argv(command, flag, link, toy_files, trained_model)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"data error: {link}: cannot follow its symlinks\n"
+        assert captured.out == ""
+        assert os.readlink(link) == link.name and sorted(tmp_path.iterdir()) == [link]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
     def test_temp_file_failure_names_the_output(self, trained_model, toy_files, tmp_path, capsys, monkeypatch,
                                                 command, flag):
         def refuse(*args, **kwargs):

@@ -1,8 +1,10 @@
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emojivote.corpus import RawCorpus
@@ -17,6 +19,7 @@ from emojivote.features import (
 )
 from emojivote.preprocess import AsciiPolicy, extract_ngrams, normalize, tokenize
 
+from csr_oracle import check_csr, check_labeled
 from helpers import csr_from_rows, rows_of, same, to_dense, with_labels
 
 bags_strategy = st.lists(
@@ -211,3 +214,111 @@ class TestLabeledDataset:
             labeled([((0, 1.0),)], labels=(-1,))
         with pytest.raises(ValueError, match="equal length"):
             labeled([((0, 1.0),), ()], labels=(0,))  # length mismatch
+
+
+def first_entry_after_empty_row(indptr) -> list[int]:
+    """The first entry of a row that follows an empty row, if any row does."""
+    lengths = np.diff(indptr)
+    return [int(indptr[r]) for r in range(1, len(lengths)) if lengths[r] and not lengths[r - 1]][:1]
+
+
+def fields(rows, V, counts, labels, k) -> SimpleNamespace:
+    """The fields of a LabeledDataset whose row r holds columns rows[r], in that order."""
+    return SimpleNamespace(
+        indptr=np.cumsum([0] + [len(r) for r in rows]).astype(np.intp),
+        indices=np.array([i for r in rows for i in r], dtype=np.intp),
+        data=np.array(counts, dtype=float),
+        dimension=V,
+        labels=np.array(labels, dtype=np.intp),
+        num_classes=k,
+    )
+
+
+@st.composite
+def layouts(draw):
+    """The fields of a LabeledDataset: a valid layout (empty rows and empty
+
+    matrices among them) with up to two of the defects its checks must catch.
+    """
+    V, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    row = st.sets(st.integers(0, V - 1), min_size=1) | st.just(set())  # half of them empty
+    rows = [sorted(r) for r in draw(st.lists(row, max_size=8))]
+    nnz = sum(map(len, rows))
+    counts = draw(st.lists(st.integers(1, 3), min_size=nnz, max_size=nnz))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=len(rows), max_size=len(rows)))
+    d = fields(rows, V, counts, labels, k)
+    entries = sorted({0, nnz - 1, *first_entry_after_empty_row(d.indptr)}) if nnz else []
+    defects = ["none", "indptr start", "indptr decrease", "length", "index", "count", "label"]
+    # A length defect goes last, so the entries the others pick still exist.
+    drawn = draw(st.lists(st.sampled_from(defects), min_size=1, max_size=2))
+    for defect in sorted(drawn, key="length".__eq__):
+        if defect == "indptr start":
+            d.indptr[0] = draw(st.sampled_from([1, -1]))
+        elif defect == "indptr decrease" and len(d.indptr) > 2:
+            r = draw(st.integers(1, len(d.indptr) - 2))
+            d.indptr[r] = d.indptr[r + 1] + 1
+        elif defect == "length":
+            field = draw(st.sampled_from(["indices", "data"]))
+            values = getattr(d, field)
+            setattr(d, field, values[:-1] if draw(st.booleans()) else np.append(values, values[:1]))
+        elif defect == "index" and entries:
+            e = draw(st.sampled_from(entries))
+            previous = int(d.indices[e - 1]) if e else 0
+            d.indices[e] = draw(st.sampled_from([previous, previous - 1, -1, V, V + 3]))
+        elif defect == "count" and entries:
+            bad = draw(st.sampled_from([0.0, -1.0, np.nan, np.inf, -np.inf]))
+            d.data[draw(st.sampled_from(entries))] = bad
+        elif defect == "label" and rows:
+            d.labels[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from([-1, k, k + 2]))
+    return d
+
+
+def failure(check):
+    """The message of the ValueError `check()` raises, or None."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestChecksOracle:
+    """The checks raise the ValueError the checks they replaced raised, exactly when those did."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(layouts())
+    # Rows (0, 2), (), (1, 3) over V = 4, and that layout broken where the checks skip a pair.
+    @example(fields([[0, 2], [], [1, 3]], 4, [1] * 4, [0, 1, 0], 2))
+    @example(fields([[0, 2], [], [0, 3]], 4, [1] * 4, [0, 1, 0], 2))  # valid: a new row may go down
+    @example(fields([[-1, 2], [], [1, 3]], 4, [1] * 4, [0, 1, 0], 2))  # negative first entry
+    @example(fields([[0, 2], [], [-1, 3]], 4, [1] * 4, [0, 1, 0], 2))  # negative after an empty row
+    @example(fields([[0, 2], [], [1, 4]], 4, [1] * 4, [0, 1, 0], 2))  # last entry at the dimension
+    @example(fields([[0, 2], [], [3, 3]], 4, [1] * 4, [0, 1, 0], 2))  # duplicate last entry
+    @example(fields([[2, 0], [], [1, 3]], 4, [1] * 4, [0, 1, 0], 2))  # unsorted within a row
+    @example(fields([[0, 2], [], [1, 3]], 4, [1, 1, 1, float("nan")], [0, 1, 0], 2))
+    @example(fields([[0, 2], [], [1, 3]], 4, [1] * 4, [0, 2, 0], 2))  # label out of range
+    @example(fields([], 4, [], [], 2))
+    @example(fields([[], []], 4, [], [0, 1], 2))
+    def test_same_verdicts(self, d):
+        layout = (d.indptr, d.indices, d.data, d.dimension)
+        assert failure(lambda: CsrMatrix(*layout)) == failure(lambda: check_csr(d))
+        assert failure(lambda: LabeledDataset(*layout, d.labels, d.num_classes)) == failure(
+            lambda: check_labeled(d)
+        )
+
+
+class TestCheckMemory:
+    def test_at_most_three_bytes_an_entry(self):
+        # 13,000 rows of 20 entries, strictly increasing within each row.
+        rng = np.random.default_rng(0)
+        n, per_row = 13_000, 20
+        indices = (np.arange(per_row) * 50 + rng.integers(0, 50, size=(n, 1))).ravel()
+        data = rng.integers(1, 4, size=n * per_row).astype(float)
+        indptr, labels = np.arange(0, n * per_row + 1, per_row), rng.integers(0, 5, size=n)
+        tracemalloc.start()
+        try:
+            LabeledDataset(indptr, indices, data, 1000, labels, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(indices) <= 3

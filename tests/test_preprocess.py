@@ -1,3 +1,5 @@
+from collections import Counter
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -93,3 +95,11 @@ class TestExtractNgrams:
     def test_gram_count_identity(self, tokens):
         # n unigrams + (n-1) bigrams = 2n - 1, counting multiplicity
         assert sum(extract_ngrams(tokens).values()) == 2 * len(tokens) - 1
+
+    @given(st.lists(st.text(max_size=4), max_size=15))
+    def test_equals_counting_loop(self, tokens):
+        # The loop extract_ngrams replaced; items() pins the key order too.
+        bag = Counter(tokens)
+        for a, b in zip(tokens, tokens[1:]):
+            bag[f"{a} {b}"] += 1
+        assert list(extract_ngrams(tokens).items()) == list(bag.items())

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -188,6 +189,22 @@ class TestSmote:
         monkeypatch.setattr(resample, "KNN_CELLS", 1)  # one query row per block: 5 + 2 blocks
         smote(d, SmoteConfig(seed=4))
         assert len(built) == 2 * one_block
+
+    def test_peak_memory_near_the_output(self):
+        # 3,000 rows in 20 classes skewed as the task's are (priors ~ (c + 1)^-0.75),
+        # about 15 integer counts a row; numpy reports its buffers to tracemalloc.
+        rng = np.random.default_rng(0)
+        priors = np.arange(1, 21) ** -0.75
+        labels = rng.choice(20, size=3000, p=priors / priors.sum())
+        d = dataset_from_dense(rng.poisson(0.03, size=(3000, 500)).astype(float), labels, 20)
+        smote(skewed_dataset())  # first-call imports, outside the trace
+        tracemalloc.start()
+        try:
+            out = smote(d, SmoteConfig(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * sum(a.nbytes for a in (out.indptr, out.indices, out.data, out.labels))
 
     def test_k_capped_at_class_size_minus_one(self):
         d = dataset_from_dense(
