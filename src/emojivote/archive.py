@@ -5,6 +5,7 @@ JSON, vocabulary, model payload), then a SHA-256 checksum of everything that
 precedes it. Loads are bit-exact: a reloaded model predicts identically.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -67,9 +68,10 @@ def check_output_path(path) -> Path:
     """
     path = Path(path)
     try:
-        path.resolve()
-    except (OSError, RuntimeError) as exc:  # a symlink loop; RuntimeError before Python 3.13
-        raise DataError(f"{path}: cannot follow its symlinks") from exc
+        os.stat(path)  # Path.resolve() is no test: from Python 3.13 it returns a loop as it stands
+    except OSError as exc:  # a new file or a dangling link is fine; a symlink loop is not
+        if exc.errno == errno.ELOOP:
+            raise DataError(f"{path}: cannot follow its symlinks") from exc
     if path.exists() and not path.is_file():  # a directory, FIFO or device is never replaced
         raise DataError(f"{path}: not a regular file")
     if not path.parent.is_dir():

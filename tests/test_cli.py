@@ -471,6 +471,26 @@ class TestOutputFiles:
         assert os.readlink(link) == link.name and sorted(tmp_path.iterdir()) == [link]
 
     @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_symlink_loop_fails_where_resolve_does_not_raise(self, trained_model, toy_files, tmp_path, capsys,
+                                                             monkeypatch, command, flag):
+        # From Python 3.13, Path.resolve() returns a looping path as it stands instead of raising.
+        monkeypatch.setattr(Path, "resolve", lambda self, strict=False: Path(os.path.realpath(self)))
+        link = tmp_path / "link"
+        link.symlink_to(link.name)
+        assert main(output_argv(command, flag, link, toy_files, trained_model)) == 2
+        assert capsys.readouterr().err == f"data error: {link}: cannot follow its symlinks\n"
+        assert os.readlink(link) == link.name and sorted(tmp_path.iterdir()) == [link]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
+    def test_dangling_symlink_creates_its_target(self, trained_model, toy_files, tmp_path, command, flag):
+        real, link = tmp_path / "real", tmp_path / "link"
+        link.symlink_to(real.name)
+        assert main(output_argv(command, flag, link, toy_files, trained_model)) == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.is_file() and real.stat().st_size > 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_COMMANDS)
     def test_temp_file_failure_names_the_output(self, trained_model, toy_files, tmp_path, capsys, monkeypatch,
                                                 command, flag):
         def refuse(*args, **kwargs):
