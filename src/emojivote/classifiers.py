@@ -8,15 +8,13 @@ fit works on real-valued count sums.
 
 import collections
 import math
-import os
-import pickle
-import signal
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import CsrMatrix, LabeledDataset
+from .workers import fork_map, usable_cpus as _usable_cpus
 
 
 def _check_dimension(model, X: CsrMatrix) -> None:
@@ -304,19 +302,12 @@ FORK_MIN_ROW_TREES = 900
 STEP_ENTRIES = 1 << 15
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _worker_count(n_trees: int, n_rows: int) -> int:
     """Processes to grow forests of n_trees trees each in, given their rows
 
     summed over the forests: one per usable CPU, at most one per tree.
     """
-    if not hasattr(os, "fork") or n_rows * n_trees < FORK_MIN_ROW_TREES:
+    if n_rows * n_trees < FORK_MIN_ROW_TREES:
         return 1
     return min(_usable_cpus(), n_trees)
 
@@ -671,76 +662,6 @@ class _TreeGrower:
         return nodes, features, thresholds, rows, side
 
 
-def _fork_worker(grower: _TreeGrower, trees) -> tuple:
-    """(pid, read end of its pipe) of a child that grows `trees` and sends back
-
-    grow's arrays or the exception it raised. The child leaves by os._exit
-    once its pipe is flushed, so no stdio buffer or exit handler of this
-    process runs twice.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                try:
-                    arrays = grower.grow(trees)
-                except BaseException as exc:  # the parent re-raises it
-                    try:
-                        error = pickle.dumps(exc)
-                    except Exception:  # an exception that does not pickle
-                        error = pickle.dumps(RuntimeError(repr(exc)))
-                    pipe.write(error)
-                else:
-                    pickle.dump(arrays, pipe, protocol=5)  # arrays written without a copy
-                    status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _grow_in_workers(grower: _TreeGrower, shares: list) -> list:
-    """Each share's arrays: the first grown here, the others in forked
-
-    workers. If anything fails, the workers not yet reaped are killed and
-    reaped before the exception propagates.
-    """
-    workers = []  # (pid, pipe) of the workers not yet reaped
-    try:
-        for share in shares[1:]:
-            workers.append(_fork_worker(grower, share))
-        parts = [grower.grow(shares[0])]
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                try:
-                    outcome = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # cut short: the worker died
-                    outcome = None
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            if isinstance(outcome, BaseException):
-                raise outcome
-            if outcome is None or code != 0:
-                cause = f"signal {-code}" if code < 0 else f"exit code {code}"
-                raise RuntimeError(f"random-forest worker {pid} ended with {cause}")
-            parts.append(outcome)
-        return parts
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) -> list[RfModel]:
     """One forest per size, all grown in one pass: forest i holds n_trees CART
 
@@ -757,7 +678,7 @@ def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) 
     splits = np.array_split(np.arange(cfg.n_trees), _worker_count(cfg.n_trees, sum(sizes)))
     shares = [[(i, t) for i in range(len(sizes)) for t in split.tolist()] for split in splits]
     grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg, sizes)
-    parts = _grow_in_workers(grower, shares)
+    parts = fork_map(grower.grow, shares)
     del grower  # its columns and scratch, before the forests are joined
     models = []
     for _ in sizes:  # each share's arrays of the next forest, let go once joined

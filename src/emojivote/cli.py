@@ -34,6 +34,7 @@ from .features import FeatureConfig, text_to_vector, vectorize_corpus
 from .metrics import confusion, evaluate, report_render
 from .preprocess import AsciiPolicy
 from .resample import SmoteConfig, plan_resample, smote
+from .workers import fork_map, usable_cpus
 
 PREDICT_CHUNK = 256  # tweets per batch: amortizes numpy calls, keeps batch memory small
 
@@ -92,11 +93,29 @@ def _stratified_split(corpus: RawCorpus, fraction: float, seed: int):
 
 
 def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
-    """(n, k) distributions for consecutive chunks of PREDICT_CHUNK texts."""
+    """(n, k) distributions for consecutive chunks of at most PREDICT_CHUNK texts.
+
+    The texts are cut into contiguous shares of equal size (to one tweet), one
+    per full PREDICT_CHUNK and at most one per usable CPU, and each share is
+    vectorized and predicted chunk by chunk in its own process. Every row's
+    distribution depends on that row alone, so the output is the same
+    however many processes share the work.
+    """
     predictor = select(ar.model, selector)
-    for start in range(0, len(texts), PREDICT_CHUNK):
-        chunk = texts[start : start + PREDICT_CHUNK]
-        yield predictor.predict_proba(text_to_vector(chunk, ar.policy, ar.vocabulary))
+
+    def predict(share: list[str]) -> list[np.ndarray]:
+        return [
+            predictor.predict_proba(
+                text_to_vector(share[start : start + PREDICT_CHUNK], ar.policy, ar.vocabulary)
+            )
+            for start in range(0, len(share), PREDICT_CHUNK)
+        ]
+
+    n = len(texts)
+    processes = max(1, min(usable_cpus(), n // PREDICT_CHUNK))
+    cuts = [n * i // processes for i in range(processes + 1)]
+    for part in fork_map(predict, [texts[a:b] for a, b in zip(cuts, cuts[1:])]):
+        yield from part
 
 
 def _predict_labels(ar: ModelArchive, texts: list[str], selector: str) -> list[int]:
@@ -229,6 +248,7 @@ def cmd_resample(args) -> int:
         smote_cfg = SmoteConfig(k_neighbors=args.smote_k, seed=args.seed)
     corpus = load_corpus(args.text, args.labels, args.classes)
     vocab, dataset = _vectorize(corpus, AsciiPolicy(args.ascii_policy), features)
+    del corpus  # its texts, before SMOTE's peak
     plan = plan_resample(dataset)
     print(f"vocabulary: {vocab.size} features")
     for c, (n, s) in enumerate(zip(plan.original_counts, plan.synthetic_counts)):

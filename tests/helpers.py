@@ -1,9 +1,10 @@
-"""Shared builders for tests: dense/sparse conversion and synthetic corpora."""
+"""Shared test helpers: dense/sparse conversion, synthetic corpora and fork checks."""
 
 import dataclasses
 import os
 
 import numpy as np
+import pytest
 
 from emojivote.corpus import RawCorpus
 from emojivote.features import CsrMatrix, LabeledDataset
@@ -112,3 +113,13 @@ def record_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # neither running nor a zombie
+            os.waitpid(pid, os.WNOHANG)
+
+
+def raise_(exc):
+    raise exc

@@ -22,7 +22,8 @@ from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig, smote
 
 from helpers import (
-    csr_from_dense, csr_from_rows, dataset_from_dense, record_forks, skewed_corpus, with_labels,
+    assert_reaped, csr_from_dense, csr_from_rows, dataset_from_dense, raise_, record_forks,
+    skewed_corpus, with_labels,
 )
 import fit_oracle
 from rf_oracle import TreeNode, oracle_fit, pack
@@ -505,12 +506,6 @@ class TestStepGather:
         assert set(calls) == {"_row_entries" if gather == "rows" else "_column_entries"}
 
 
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # neither running nor a zombie
-            os.waitpid(pid, os.WNOHANG)
-
-
 def first_run(monkeypatch, in_parent=None, in_worker=None):
     """Make each process call its action before growing its share of trees."""
     parent, grow = os.getpid(), classifiers._TreeGrower.grow
@@ -522,10 +517,6 @@ def first_run(monkeypatch, in_parent=None, in_worker=None):
         return grow(self, trees)
 
     monkeypatch.setattr(classifiers._TreeGrower, "grow", patched)
-
-
-def raise_(exc):
-    raise exc
 
 
 class TestWorkers:

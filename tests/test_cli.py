@@ -1,9 +1,11 @@
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emojivote
+from emojivote import cli
 from emojivote.archive import archive_load
 from emojivote.cli import _stratified_split, main
 from emojivote.corpus import RawCorpus
 from emojivote.features import text_to_vector
+
+from helpers import assert_reaped, raise_, record_forks
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +285,128 @@ class TestPredict:
         out = tmp_path / "out.txt"
         assert main(["predict", str(trained_model), str(src), "-o", str(out)]) == 2
         assert not out.exists()
+
+
+SELECTORS = ("mnb", "lr", "rf", "ensemble1", "ensemble2", "meta")
+CHUNK = 4  # PREDICT_CHUNK in the tests below, so that small inputs span processes
+
+
+def predict_inputs(toy_files, tmp_path, n):
+    """Text and gold files of the first n toy tweets, cycled, with all-OOV lines."""
+    texts = (toy_files / "t.txt").read_text().splitlines() + ["zzz qqq", ""]
+    labels = (toy_files / "l.txt").read_text().splitlines() + ["0", "1"]
+    text, gold = tmp_path / f"t{n}.txt", tmp_path / f"l{n}.txt"
+    text.write_text("".join(texts[i % len(texts)] + "\n" for i in range(n)), encoding="utf-8")
+    gold.write_text("".join(labels[i % len(labels)] + "\n" for i in range(n)), encoding="utf-8")
+    return text, gold
+
+
+def predict_outputs(trained_model, text, gold, out_dir, capsys) -> list:
+    """predict --proba under every selector, then evaluate: each exit code and output."""
+    read = lambda path: path.read_bytes() if path.exists() else None
+    outputs = []
+    for selector in SELECTORS:
+        out = out_dir / f"{selector}.pred"
+        rc = main(["predict", str(trained_model), str(text), "--selector", selector, "--proba",
+                   "-o", str(out)])
+        outputs.append((rc, read(out)))
+    report, matrix = out_dir / "report.txt", out_dir / "matrix.csv"
+    rc = main(["evaluate", str(trained_model), str(text), str(gold),
+               "--report", str(report), "--matrix", str(matrix)])
+    outputs.append((rc, capsys.readouterr(), read(report), read(matrix)))
+    return outputs
+
+
+def first_vectorize(monkeypatch, in_parent=None, in_worker=None):
+    """Make each process call its action before it vectorizes its first chunk."""
+    parent, vectorize = os.getpid(), cli.text_to_vector
+
+    def patched(*args):
+        action = in_parent if os.getpid() == parent else in_worker
+        if action is not None:
+            action()
+        return vectorize(*args)
+
+    monkeypatch.setattr(cli, "text_to_vector", patched)
+
+
+class TestParallelPredict:
+    """Prediction forks one process per full PREDICT_CHUNK, at most one per CPU,
+
+    and its output does not depend on how many processes shared the work.
+    """
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 11 * CHUNK + 3])
+    def test_same_output_on_any_cpu_count(self, trained_model, toy_files, tmp_path, capsys,
+                                          monkeypatch, n):
+        text, gold = predict_inputs(toy_files, tmp_path, n)
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", CHUNK)
+        pids = record_forks(monkeypatch)
+        outputs = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            out_dir = tmp_path / f"cpus{cpus}"
+            out_dir.mkdir()
+            forks = len(pids)
+            outputs[cpus] = predict_outputs(trained_model, text, gold, out_dir, capsys)
+            # seven commands, each forking all but one of its processes
+            assert len(pids) - forks == 7 * (max(1, min(cpus, n // CHUNK)) - 1)
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+        assert outputs[1][0][0] == 0 and outputs[1][-1][0] == (0 if n else 2)
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("n", [1, 2 * 256 - 1])
+    def test_less_than_two_full_chunks_never_forks(self, trained_model, toy_files, tmp_path,
+                                                   monkeypatch, n):
+        text, _ = predict_inputs(toy_files, tmp_path, n)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 8)
+        monkeypatch.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
+        out = tmp_path / "out.txt"
+        assert main(["predict", str(trained_model), str(text), "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == n
+
+    @pytest.mark.parametrize("exc, raised", [
+        (MemoryError(), MemoryError),
+        (ValueError("bad"), ValueError),
+        (ValueError(lambda: 0), RuntimeError),  # does not pickle: sent as its repr
+    ])
+    def test_worker_exception_raised_in_parent(self, trained_model, monkeypatch, exc, raised):
+        ar = archive_load(trained_model)
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", CHUNK)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        pids = record_forks(monkeypatch)
+        first_vectorize(monkeypatch, in_worker=lambda: raise_(exc))
+        with pytest.raises(raised):
+            list(cli._predict_chunks(ar, ["happy joy"] * (3 * CHUNK), "meta"))
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+    def test_killed_worker_raises(self, trained_model, monkeypatch):
+        ar = archive_load(trained_model)
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", CHUNK)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        pids = record_forks(monkeypatch)
+        first_vectorize(monkeypatch, in_worker=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
+            list(cli._predict_chunks(ar, ["happy joy"] * (3 * CHUNK), "meta"))
+        assert_reaped(pids)
+
+    def test_parent_failure_kills_and_reaps_workers(self, trained_model, monkeypatch):
+        ar = archive_load(trained_model)
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", CHUNK)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        pids = record_forks(monkeypatch)
+        first_vectorize(
+            monkeypatch, in_parent=lambda: raise_(KeyboardInterrupt()),
+            in_worker=lambda: time.sleep(60),
+        )
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            list(cli._predict_chunks(ar, ["happy joy"] * (3 * CHUNK), "meta"))
+        assert time.monotonic() - start < 30
+        assert len(pids) == 2
+        assert_reaped(pids)
 
 
 class TestEvaluate:

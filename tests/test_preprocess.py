@@ -1,6 +1,6 @@
 from collections import Counter
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emojivote.preprocess import (
@@ -14,6 +14,17 @@ from emojivote.preprocess import (
 
 any_text = st.text(max_size=60)
 policies = st.sampled_from(list(AsciiPolicy))
+# Text rich in what the keep-most policy must get right: the removed codepoints
+# themselves, combining marks that may follow them, and astral characters.
+keep_most_text = st.lists(
+    st.sampled_from(sorted(REMOVED_CODEPOINTS))
+    | st.characters(whitelist_categories=("Mn", "Mc", "Me"))
+    | st.characters(min_codepoint=0x10000, blacklist_categories=("Cs",))
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=60,
+).map("".join)
+# The keep-most policy as one str.translate: the reference for its replace calls.
+TRANSLATE_REMOVED = dict.fromkeys(map(ord, REMOVED_CODEPOINTS))
 
 
 class TestNormalize:
@@ -45,6 +56,11 @@ class TestNormalize:
         out = apply_ascii_policy(text, AsciiPolicy.KEEP_MOST)
         assert not REMOVED_CODEPOINTS & set(out)
         assert out == "".join(ch for ch in text if ch not in REMOVED_CODEPOINTS)
+
+    @settings(max_examples=500)
+    @given(keep_most_text)
+    def test_keep_most_equals_translate(self, text):
+        assert apply_ascii_policy(text, AsciiPolicy.KEEP_MOST) == text.translate(TRANSLATE_REMOVED)
 
 
 class TestTokenize:
