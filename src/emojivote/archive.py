@@ -42,11 +42,11 @@ class ModelArchive:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise ArchiveTruncatedError(
                 f"archive ends at byte {len(self.blob)}, needed {self.pos + n}"
@@ -55,7 +55,7 @@ class _Reader:
         self.pos += n
         return out
 
-    def section(self) -> bytes:
+    def section(self) -> memoryview:
         (length,) = struct.unpack("<Q", self.take(8))
         return self.take(length)
 
@@ -146,6 +146,7 @@ def archive_load(path) -> ModelArchive:
         raise ArchiveError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if len(blob) < len(MAGIC) + 1 + _CHECKSUM_LEN:
         raise ArchiveTruncatedError(f"{path}: too short to be a model archive")
+    blob = memoryview(blob)  # the body and its sections are read in place, not copied
     body, digest = blob[:-_CHECKSUM_LEN], blob[-_CHECKSUM_LEN:]
     reader = _Reader(body)
     if reader.take(4) != MAGIC:
@@ -159,7 +160,7 @@ def archive_load(path) -> ModelArchive:
     if hashlib.sha256(body).digest() != digest:
         raise ArchiveChecksumError(f"{path}: checksum mismatch")
     try:
-        header = json.loads(sections[0].decode("utf-8"))
+        header = json.loads(str(sections[0], "utf-8"))
         language, policy = header["language"], AsciiPolicy(header["policy"])
         metadata = header["metadata"]
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, a key missing, a bad policy

@@ -302,16 +302,6 @@ FORK_MIN_ROW_TREES = 900
 STEP_ENTRIES = 1 << 15
 
 
-def _worker_count(n_trees: int, n_rows: int) -> int:
-    """Processes to grow forests of n_trees trees each in, given their rows
-
-    summed over the forests: one per usable CPU, at most one per tree.
-    """
-    if n_rows * n_trees < FORK_MIN_ROW_TREES:
-        return 1
-    return min(_usable_cpus(), n_trees)
-
-
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """A mask of the places where a run of equal values in `a` begins."""
     starts = np.ones(len(a), dtype=bool)
@@ -322,20 +312,6 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
 def _sort_keys(keys: np.ndarray, bound: int) -> np.ndarray:
     """Keys in [0, bound), as int16 where they fit, which numpy sorts by radix."""
     return keys.astype(np.int16) if bound <= 1 << 15 else keys
-
-
-def _renumber(feature, threshold, left, right, counts, sizes) -> tuple:
-    """The packed arrays (feature, threshold, left, right, counts, roots) of
-
-    trees laid end to end, tree t's sizes[t] nodes numbered from 0: each
-    tree's nodes renumbered after those before it, its root the first.
-    """
-    roots = np.zeros(len(sizes), dtype=np.intp)
-    np.cumsum(sizes[:-1], out=roots[1:])
-    node_offset = np.repeat(roots, sizes)
-    left = np.where(left >= 0, left + node_offset, -1)  # -1 stays -1
-    right = np.where(right >= 0, right + node_offset, -1)
-    return feature, threshold, left, right, counts, roots
 
 
 @dataclass
@@ -406,10 +382,10 @@ class _TreeGrower:
         self.table, self.filled = [], 0  # blocks of class totals, and the rows they hold
 
     def grow(self, trees) -> list[tuple]:
-        """For each forest in turn, the node arrays (feature, threshold, left,
+        """For each forest in turn, the node arrays (feature, threshold, right,
 
-        right, counts) of its given trees, each tree numbered from 0, and the
-        trees' node counts; `trees` are (forest, tree index) pairs, some of
+        counts) of its given trees, each tree numbered from 0, and the trees'
+        node counts; `trees` are (forest, tree index) pairs, some of
         every forest. Tree t's RNG stream derives from (seed, t), whatever its
         forest. Each tree grows from its own explicit stack, left child before
         right, so its nodes are numbered and its RNG drawn in preorder. The
@@ -502,12 +478,9 @@ class _TreeGrower:
 
         sizes = np.array([len(tree.feature) for tree in trees], dtype=np.intp)
         feature, threshold = join("feature", np.intp), join("threshold", float)
-        right, totals = join("right", np.intp), join("totals", np.intp)
-        counts = table[totals]
-        split = feature >= 0
-        counts[split] = 0.0
-        node = np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return feature, threshold, np.where(split, node + 1, -1), right, counts, sizes
+        counts = table[join("totals", np.intp)]
+        counts[feature >= 0] = 0.0
+        return feature, threshold, join("right", np.intp), counts, sizes
 
     def _reads_columns(self, by_rows: int, by_columns: int) -> bool:
         """Whether a node reads its candidates' columns rather than its rows,
@@ -675,15 +648,24 @@ def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) 
         raise ValueError("cannot fit a random forest on an empty dataset")
     if not all(1 <= size <= len(dataset) for size in sizes):
         raise ValueError(f"forest sizes must lie in [1, {len(dataset)}], got {list(sizes)}")
-    splits = np.array_split(np.arange(cfg.n_trees), _worker_count(cfg.n_trees, sum(sizes)))
+    workers = 1
+    if sum(sizes) * cfg.n_trees >= FORK_MIN_ROW_TREES:  # one per usable CPU, at most one per tree
+        workers = min(_usable_cpus(), cfg.n_trees)
+    splits = np.array_split(np.arange(cfg.n_trees), workers)
     shares = [[(i, t) for i in range(len(sizes)) for t in split.tolist()] for split in splits]
     grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg, sizes)
     parts = fork_map(grower.grow, shares)
     del grower  # its columns and scratch, before the forests are joined
     models = []
     for _ in sizes:  # each share's arrays of the next forest, let go once joined
-        arrays = map(np.concatenate, zip(*(part.pop(0) for part in parts)))
-        models.append(RfModel(dataset.dimension, dataset.num_classes, *_renumber(*arrays)))
+        arrays = zip(*(part.pop(0) for part in parts))
+        feature, threshold, right, counts, tree_sizes = map(np.concatenate, arrays)
+        roots = np.cumsum(tree_sizes) - tree_sizes  # the trees laid end to end
+        split = feature >= 0  # in preorder, a split node's left child is the next node
+        left = np.where(split, np.arange(len(feature)) + 1, -1)
+        right = np.where(split, right + np.repeat(roots, tree_sizes), -1)
+        forest = feature, threshold, left, right, counts, roots
+        models.append(RfModel(dataset.dimension, dataset.num_classes, *forest))
     return models
 
 

@@ -8,6 +8,7 @@ apostrophe, and keeps #hashtags / @mentions intact.
 """
 
 import enum
+import re
 import unicodedata
 from collections import Counter
 from itertools import chain, islice
@@ -40,16 +41,9 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
 
-def _split_contractions(core: str) -> list[str]:
-    # Split at each internal apostrophe; the apostrophe stays with the suffix.
-    out = []
-    start = 0
-    for i in range(1, len(core)):
-        if core[i] == "'" and i > start:
-            out.append(core[start:i])
-            start = i
-    out.append(core[start:])
-    return [t for t in out if t]
+# Contraction parts: a word splits before each apostrophe but a leading one,
+# and the apostrophe stays with the suffix.
+_CONTRACTION_PART = re.compile(r".[^']*", re.S)
 
 
 def _split_chunk(chunk: str) -> list[str]:
@@ -76,7 +70,7 @@ def _split_chunk(chunk: str) -> list[str]:
         j -= 1
     if i > 0:
         tokens.append(chunk[:i])
-    tokens.extend(_split_contractions(chunk[i:j]))
+    tokens.extend(_CONTRACTION_PART.findall(chunk, i, j))
     if j < len(chunk):
         tokens.append(chunk[j:])
     return tokens

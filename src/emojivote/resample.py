@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError
-from .features import CsrMatrix, LabeledDataset, from_entries
+from .features import CsrMatrix, LabeledDataset
 
 # Columns of a class's dense k-NN table: its most frequent ones, whose dot
 # products BLAS sums; the rest are summed pair by pair.
@@ -16,6 +16,9 @@ FREQUENT_COLUMNS = 64
 # Distances per k-NN block (query rows x class rows): bounds each block's
 # scratch arrays however large a class grows.
 KNN_CELLS = 1 << 16
+# Synthetic rows interpolated at a time as smote fills its output: bounds the
+# fill's scratch however many rows one class adds.
+FILL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -182,14 +185,6 @@ def _interpolated(
     return row[keep], column[keep], nn[keep]
 
 
-def _interpolate(
-    points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray, gaps: np.ndarray
-) -> CsrMatrix:
-    """The rows `_interpolated` gives, as a matrix."""
-    entries = _interpolated(points, parents, neighbors, gaps)
-    return from_entries(*entries, len(parents), points.dimension)
-
-
 def _bulk_draws(rng, k: int, quota: int) -> tuple[np.ndarray, np.ndarray] | None:
     """What `quota` rounds of `rng.integers(k)` then `rng.random()` return,
 
@@ -240,8 +235,8 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
 
     Every class is planned first, as (parents, neighbors, gaps) in dataset
     rows; a duplicated row is (p, p, 0), as x + 0 * (x - x) is x. The output
-    arrays are then sized from the planned rows' column unions, allocated
-    once, and filled class by class.
+    arrays are then sized from the planned rows' column unions, class by
+    class, allocated once, and filled FILL_ROWS rows at a time.
     """
     plan = []  # (class, parents, neighbors, gaps)
     for c, quota in enumerate(plan_resample(dataset).synthetic_counts):
@@ -268,13 +263,15 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
     indices[:nnz], data[:nnz] = dataset.indices, dataset.data
     row, end = n, nnz
     for c, parents, neighbors, gaps in plan:
-        owner, column, value = _interpolated(dataset, parents, neighbors, gaps)
-        m, stop = len(parents), end + len(column)
-        indptr[row + 1 : row + m + 1] = np.bincount(owner, minlength=m)  # row lengths for now
-        labels[row : row + m] = c
-        indices[end:stop], data[end:stop] = column, value
-        row, end = row + m, stop
-        del owner, column, value  # else alive while the next class is interpolated
+        labels[row : row + len(parents)] = c
+        for start in range(0, len(parents), FILL_ROWS):
+            block = [a[start : start + FILL_ROWS] for a in (parents, neighbors, gaps)]
+            owner, column, value = _interpolated(dataset, *block)
+            m, stop = len(block[0]), end + len(column)
+            indptr[row + 1 : row + m + 1] = np.bincount(owner, minlength=m)  # row lengths for now
+            indices[end:stop], data[end:stop] = column, value
+            row, end = row + m, stop
+            del owner, column, value  # else alive while the next block is interpolated
     np.cumsum(indptr[n:], out=indptr[n:])
     # The unions sized the arrays; exact zeros dropped leave their last entries unused.
     return LabeledDataset(

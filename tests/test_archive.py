@@ -5,6 +5,7 @@ import json
 import pickle
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from emojivote.corpus import RawCorpus
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
 
-from helpers import csr_from_dense
+from helpers import csr_from_dense, skewed_corpus
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,26 @@ class TestRoundTrip:
         archive_save(trained_archive, tmp_path / "m.bin")
         assert (tmp_path / "m.bin").read_bytes() == body
         assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]  # no temp file left
+
+    def test_load_peak_memory_near_the_file_size(self, tmp_path):
+        # The file is read once and its sections unpickled in place, so the load
+        # holds about the file and the model it unpickles. The fixture's 16 kB
+        # archive is too small: fixed costs dominate it. This one is about 340 kB.
+        corpus, policy = skewed_corpus(200, seed=3), AsciiPolicy.KEEP_MOST
+        vocab, dataset = vectorize_corpus(corpus, policy, FeatureConfig(min_df=2))
+        model = build_meta(
+            dataset, SmoteConfig(seed=0), (4.0, 1.0), (1.5, 6.0, 1.0), lr_cfg=LrConfig(max_iters=30)
+        )
+        path = tmp_path / "m.bin"
+        archive_save(ModelArchive("en", policy, vocab, model), path)
+        archive_load(path)  # first-call imports, outside the trace
+        tracemalloc.start()
+        try:
+            archive_load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * path.stat().st_size
 
 
 class TestCorruption:

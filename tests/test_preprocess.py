@@ -1,9 +1,10 @@
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emojivote.preprocess import (
+    _CONTRACTION_PART,
     REMOVED_CODEPOINTS,
     AsciiPolicy,
     apply_ascii_policy,
@@ -25,6 +26,28 @@ keep_most_text = st.lists(
 ).map("".join)
 # The keep-most policy as one str.translate: the reference for its replace calls.
 TRANSLATE_REMOVED = dict.fromkeys(map(ord, REMOVED_CODEPOINTS))
+# Words to split at apostrophes: the ASCII one, which splits, among the typographic
+# one, which does not, combining marks, astral characters and word characters.
+contraction_text = st.lists(
+    st.sampled_from(["'", "’", "a", "_"])
+    | st.characters(whitelist_categories=("Mn",))
+    | st.characters(min_codepoint=0x10000, blacklist_categories=("Cs",)),
+    max_size=20,
+).map("".join)
+
+
+def split_contractions(core: str) -> list[str]:
+    """The loop that _CONTRACTION_PART replaced: split at each apostrophe after
+
+    the first character, the apostrophe staying with the suffix.
+    """
+    out, start = [], 0
+    for i in range(1, len(core)):
+        if core[i] == "'" and i > start:
+            out.append(core[start:i])
+            start = i
+    out.append(core[start:])
+    return [t for t in out if t]
 
 
 class TestNormalize:
@@ -84,6 +107,18 @@ class TestTokenize:
 
     def test_leading_punct(self):
         assert tokenize("(hi)") == ["(", "hi", ")"]
+
+    @settings(max_examples=500)
+    @given(st.text(max_size=3), contraction_text, st.text(max_size=3))
+    @example("", "", "")
+    @example("", "'t", "")  # a leading apostrophe
+    @example("#", "do''nt'", "!")  # doubled and trailing ones
+    @example("", "''a", "")
+    def test_contraction_split_equals_loop(self, before, core, after):
+        # tokenize splits the core of its chunk in place, between the peeled runs
+        text = before + core + after
+        parts = _CONTRACTION_PART.findall(text, len(before), len(before) + len(core))
+        assert parts == split_contractions(core)
 
     @given(any_text, policies)
     def test_deterministic_and_clean(self, text, policy):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from emojivote import resample
 from emojivote.exceptions import DataError
-from emojivote.features import CsrMatrix
+from emojivote.features import CsrMatrix, from_entries
 from emojivote.resample import (
     ResamplePlan,
     SmoteConfig,
     _bulk_draws,
-    _interpolate,
+    _interpolated,
     nearest_neighbors,
     plan_resample,
     smote,
@@ -190,13 +190,17 @@ class TestSmote:
         smote(d, SmoteConfig(seed=4))
         assert len(built) == 2 * one_block
 
-    def test_peak_memory_near_the_output(self):
-        # 3,000 rows in 20 classes skewed as the task's are (priors ~ (c + 1)^-0.75),
-        # about 15 integer counts a row; numpy reports its buffers to tracemalloc.
+    @pytest.mark.parametrize("classes, skew", [(20, 0.75), (10, 0.75), (5, 1.5)])
+    def test_peak_memory_near_the_output(self, classes, skew):
+        # 3,000 rows with priors ~ (c + 1)^-skew, about 15 integer counts a row; numpy
+        # reports its buffers to tracemalloc. At the task's skew, 0.75, 5 classes make a
+        # 1.7 MB output, under the k-NN's fixed block scratch (about 3.5 MB at KNN_CELLS);
+        # skewed further, one class supplies most of the synthetic rows, which the fill
+        # must not hold all at once.
         rng = np.random.default_rng(0)
-        priors = np.arange(1, 21) ** -0.75
-        labels = rng.choice(20, size=3000, p=priors / priors.sum())
-        d = dataset_from_dense(rng.poisson(0.03, size=(3000, 500)).astype(float), labels, 20)
+        priors = np.arange(1, classes + 1) ** -skew
+        labels = rng.choice(classes, size=3000, p=priors / priors.sum())
+        d = dataset_from_dense(rng.poisson(0.03, size=(3000, 500)).astype(float), labels, classes)
         smote(skewed_dataset())  # first-call imports, outside the trace
         tracemalloc.start()
         try:
@@ -276,7 +280,8 @@ class TestOracle:
     def test_interpolate_drops_exact_zeros(self):
         # g = 0 zeroes the neighbor-only feature 1 (0 + 0 * (2 - 0))
         points = csr_from_dense([[1.0, 0.0], [0.0, 2.0]])
-        (row,) = rows_of(_interpolate(points, np.array([0]), np.array([1]), np.array([0.0])))
+        entries = _interpolated(points, np.array([0]), np.array([1]), np.array([0.0]))
+        (row,) = rows_of(from_entries(*entries, 1, points.dimension))
         assert row == ((0, 1.0),)
 
     def test_nearest_neighbors_tie_heavy_blocks(self):

@@ -16,8 +16,6 @@ import pytest
 from helpers import skewed_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
-# forest_shape still walks linked trees, which the packed forest no longer has.
-KNOWN_ABSENT = {"forest_shape"}
 
 
 def traced(tmp_path, name, args) -> dict:
@@ -48,5 +46,5 @@ def runs(tmp_path_factory):
 def test_every_span_and_counter_is_read(runs, command):
     dump = runs[command]
     assert dump["exit_code"] == 0
-    assert set(dump["absent"]) <= KNOWN_ABSENT
+    assert dump["absent"] == []
     assert dump["counters"]["grams_in_vocab"] > 0
