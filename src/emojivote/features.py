@@ -1,5 +1,6 @@
 """N-gram vocabulary with document-frequency cutoff and sparse count rows."""
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -133,7 +134,11 @@ class LabeledDataset(CsrMatrix):
 
 
 def build_vocabulary(bags: list[Counter], cfg: FeatureConfig) -> Vocabulary:
-    """Retain features appearing in >= min_df distinct bags, indexed lexicographically."""
+    """Retain features appearing in >= min_df distinct bags, indexed lexicographically.
+
+    The bag-based reference for vectorize_corpus's vocabulary, which is built
+    from token ids without bags.
+    """
     df = Counter(chain.from_iterable(bags))  # a bag holds each gram once, so counts are bags
     kept = sorted(feat for feat, n in df.items() if n >= cfg.min_df)
     num_bigrams = sum(1 for f in kept if " " in f)
@@ -168,16 +173,83 @@ def ngram_bags(texts: list[str], policy: AsciiPolicy) -> list[Counter]:
     return [extract_ngrams(tokenize(normalize(t, policy), memo)) for t in texts]
 
 
+class _TokenIds(dict):
+    """Token -> id: a token not seen before takes the next id."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = len(self)
+        return len(self) - 1
+
+
+def _token_ids(texts: list[str], policy: AsciiPolicy) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The texts' token ids, in one flat int64 array; each text's token count;
+
+    and the tokens by id, ids numbered in order of first appearance.
+    """
+    memo: dict[str, list[str]] = {}  # chunk -> tokens, for this call's texts only
+    intern, ids, lengths = _TokenIds(), array("q"), array("q")
+    for t in texts:
+        tokens = tokenize(normalize(t, policy), memo)
+        lengths.append(len(tokens))
+        ids.extend(map(intern.__getitem__, tokens))
+    return np.asarray(ids), np.asarray(lengths), list(intern)
+
+
 def vectorize_corpus(
     corpus: RawCorpus, policy: AsciiPolicy, cfg: FeatureConfig
 ) -> tuple[Vocabulary, LabeledDataset]:
-    """Full text pipeline: normalize, tokenize, n-grams, vocabulary, count rows."""
-    bags = ngram_bags(corpus.texts, policy)
-    vocab = build_vocabulary(bags, cfg)
-    rows, columns, counts = _count_entries(bags, vocab)
+    """Full text pipeline: normalize, tokenize, n-grams, vocabulary, count rows.
+
+    The vocabulary and rows are build_vocabulary's and vectorize's over
+    ngram_bags, without a bag: with T distinct tokens, a gram is an int64
+    key, a token's id for a unigram and T + a * T + b for tokens a, b next to
+    each other in one tweet. Counts and document frequencies are taken over
+    the keys, and only the grams kept are spelled out as strings.
+    """
+    ids, lengths, tokens = _token_ids(corpus.texts, policy)
+    n, T = len(lengths), len(tokens)
+    token_rows = np.repeat(np.arange(n), lengths)
+    starts = np.flatnonzero(token_rows[:-1] == token_rows[1:])  # each bigram's first token
+    # Gram g is token g's unigram for g < T, else the bigram of key bigrams[g - T].
+    bigrams, bigram_of = np.unique(T + ids[starts] * T + ids[starts + 1], return_inverse=True)
+    G = T + len(bigrams)
+    pairs = np.concatenate([token_rows * G + ids, token_rows[starts] * G + (T + bigram_of)])
+    del ids, lengths, token_rows, starts, bigram_of
+    pairs, counts = np.unique(pairs, return_counts=True)  # (row, gram) pairs, by row, then gram
+    counts = counts.astype(float)
+    rows, pair_grams = np.divmod(pairs, G)
+    del pairs
+    kept = np.flatnonzero(np.bincount(pair_grams, minlength=G) >= cfg.min_df)
+    # Only the grams kept are spelled out.
+    num_unigrams = int(np.searchsorted(kept, T))
+    first, second = np.divmod(bigrams[kept[num_unigrams:] - T] - T, T)
+    features = [tokens[a] for a in kept[:num_unigrams].tolist()]
+    features += [tokens[a] + " " + tokens[b] for a, b in zip(first.tolist(), second.tolist())]
+    del tokens, bigrams
+    by_spelling = sorted(range(len(features)), key=features.__getitem__)
+    index_to_feature = [features[i] for i in by_spelling]
+    vocab = Vocabulary(
+        index_to_feature=index_to_feature,
+        feature_to_index={f: i for i, f in enumerate(index_to_feature)},
+        num_unigrams=num_unigrams,
+        num_bigrams=len(index_to_feature) - num_unigrams,
+    )
+    del features
+    column_of = np.full(G, -1, dtype=np.intp)  # each gram's column, -1 if not kept
+    column_of[kept[by_spelling]] = np.arange(vocab.size)
+    columns = column_of[pair_grams]
+    del column_of, pair_grams
+    # One array at a time: the filtered and sorted copies of all three never coexist with the originals.
+    in_vocab = columns >= 0
+    rows = rows[in_vocab]
+    columns = columns[in_vocab]
+    counts = counts[in_vocab]
+    del in_vocab
+    order = np.argsort(rows * vocab.size + columns)  # keys are unique: by row, then column
+    columns = columns[order]
+    counts = counts[order]
     labels, k = np.asarray(corpus.labels, dtype=np.intp), corpus.num_classes
-    indptr = _indptr(rows, len(bags))
-    return vocab, LabeledDataset(indptr, columns, counts, vocab.size, labels, k)
+    return vocab, LabeledDataset(_indptr(rows, n), columns, counts, vocab.size, labels, k)
 
 
 def text_to_vector(texts: list[str] | str, policy: AsciiPolicy, vocab: Vocabulary) -> CsrMatrix:

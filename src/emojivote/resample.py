@@ -83,22 +83,31 @@ def nearest_neighbors(points: CsrMatrix, k: int, first: int | None = None) -> np
     rest[frequent] = False
     queried = n if first is None else min(first, n)
     step = max(1, KNN_CELLS // n)
+    kth_rows = max(1, step // 8)
     out = np.empty((queried, k), dtype=np.intp)
     for start in range(0, queried, step):
         stop = min(start + step, queried)
-        gram = table[start:stop] @ table.T
+        d2 = table[start:stop] @ table.T  # the dot products, made squared distances in place
         owner, query = points.positions(np.arange(start, stop))  # the block's entries
         tail = rest[points.indices[query]]  # those outside the table
         owner, query = owner[tail], query[tail]
         entry, pos = columns.positions(points.indices[query])  # the pairs sharing a column
-        cells = owner[entry] * n + columns.indices[pos]
-        products = points.data[query][entry] * columns.data[pos]
-        gram += np.bincount(cells, weights=products, minlength=gram.size).reshape(gram.shape)
-        del owner, query, tail, entry, pos, cells, products  # else alive during the next block
-        d2 = sq_norms[start:stop, None] + sq_norms - 2 * gram
+        cells, products = owner[entry], points.data[query[entry]]  # then updated in place
+        cells *= n
+        cells += columns.indices[pos]
+        products *= columns.data[pos]
+        del owner, query, tail, entry, pos
+        d2 += np.bincount(cells, weights=products, minlength=d2.size).reshape(d2.shape)
+        del cells, products  # else alive during the next block
+        d2 *= -2
+        d2 += sq_norms[start:stop, None]
+        d2 += sq_norms
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        # Each row's k-th distance, from copies of kth_rows rows at a time, not of the block.
+        kth = np.empty((stop - start, 1))
+        for i in range(0, stop - start, kth_rows):
+            kth[i : i + kth_rows, 0] = np.partition(d2[i : i + kth_rows], k - 1, axis=1)[:, k - 1]
         # Sort only entries at or below each row's k-th distance, stably: ties to the lower index.
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
         row, col = np.nonzero(d2 <= kth)
         order = np.lexsort((d2[row, col], row))
         first_entry = np.searchsorted(row[order], np.arange(stop - start))

@@ -13,6 +13,7 @@ from emojivote.features import (
     FeatureConfig,
     LabeledDataset,
     build_vocabulary,
+    ngram_bags,
     text_to_vector,
     vectorize,
     vectorize_corpus,
@@ -163,8 +164,38 @@ tweets_strategy = st.lists(
 )
 
 
+# Tweets over letters, the characters the two --ascii-policy values treat
+# differently, punctuation the tokenizer peels, and whitespace of three kinds.
+policy_texts_strategy = st.lists(st.text(alphabet="ab é’…'#@.,\t\n ", max_size=12), max_size=30)
+
+
 class TestVectorizeOracle:
     """The CSR rows equal a per-bag {index: count} reference, chunked or not."""
+
+    @pytest.mark.parametrize("policy", list(AsciiPolicy))
+    @settings(max_examples=200, deadline=None)
+    @given(texts=policy_texts_strategy, min_df=st.integers(1, 4))
+    @example(texts=[], min_df=1)
+    @example(texts=["", "   ", "\t\n", "a", "b"], min_df=1)  # empty, blank and one-token tweets
+    @example(texts=["a b a b a", "b a", "a"], min_df=2)  # a bigram repeated within a tweet
+    @example(texts=["a b", "a b c", "c"], min_df=4)  # min_df above every document frequency
+    def test_vocabulary_and_rows_equal_bag_reference(self, policy, texts, min_df):
+        cfg = FeatureConfig(min_df=min_df)
+        vocab, d = vectorize_corpus(RawCorpus(texts, [0] * len(texts), 2), policy, cfg)
+        bags = ngram_bags(texts, policy)
+        assert vocab == build_vocabulary(bags, cfg)
+        reference = vectorize(bags, vocab)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(d, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert d.dimension == vocab.size and d.labels.tolist() == [0] * len(texts)
+
+    @pytest.mark.parametrize("policy", list(AsciiPolicy))
+    def test_min_df_above_every_frequency(self, policy):
+        texts = ["a b a b", "", "b   a", "c’ d…"]
+        vocab, d = vectorize_corpus(RawCorpus(texts, [0, 1, 0, 1], 2), policy, FeatureConfig(min_df=3))
+        assert vocab == build_vocabulary(ngram_bags(texts, policy), FeatureConfig(min_df=3))
+        assert vocab.size == 0 and len(d) == 4 and d.indptr.tolist() == [0] * 5
 
     @given(tweets_strategy, st.integers(1, 3))
     def test_corpus_rows_equal_per_bag_counts(self, texts, min_df):
