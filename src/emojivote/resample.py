@@ -124,56 +124,6 @@ def _keys(points: CsrMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner * points.dimension + points.indices[pos], pos
 
 
-def _neighbor_only(
-    parent_keys: np.ndarray, neighbor_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each neighbor key, the parent keys below it, and whether none equals it.
-
-    Both are sorted, so this is a merge of the two by binary search, not a sort.
-    """
-    below = np.searchsorted(parent_keys, neighbor_keys)
-    if len(parent_keys) == 0:  # nothing to take from
-        return below, np.ones(len(neighbor_keys), dtype=bool)
-    # A key past the last parent key clips to it, which is below it: not equal.
-    return below, parent_keys.take(below, mode="clip") != neighbor_keys
-
-
-def _union_size(points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray) -> int:
-    """The entries of the unions `_merge` builds: over every t, the columns that
-
-    rows parents[t] and neighbors[t] of points hold between them.
-    """
-    parent_keys, _ = _keys(points, parents)
-    _, only = _neighbor_only(parent_keys, _keys(points, neighbors)[0])
-    return len(parent_keys) + np.count_nonzero(only)
-
-
-def _merge(
-    points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For every t, the union of the columns of rows parents[t] and neighbors[t]
-
-    of points, as sorted row-major keys t * V + column, and the two rows on
-    it: a (2, union) array of x, then nn, each 0 where its row lacks the column.
-    """
-    (parent_keys, parent_pos), (neighbor_keys, neighbor_pos) = (
-        _keys(points, parents), _keys(points, neighbors)
-    )
-    below, only = _neighbor_only(parent_keys, neighbor_keys)
-    # A neighbor entry's slot in the union: the parent keys below it plus the
-    # neighbor-only keys before it. The parent entries fill the other slots, in order.
-    slot = below + np.cumsum(only) - only
-    from_parent = np.ones(len(parent_keys) + np.count_nonzero(only), dtype=bool)
-    from_parent[slot[only]] = False
-    union = np.empty(len(from_parent), dtype=np.intp)
-    union[from_parent] = parent_keys
-    union[slot] = neighbor_keys
-    ends = np.zeros((2, len(union)))
-    ends[0, from_parent] = points.data[parent_pos]
-    ends[1, slot] = points.data[neighbor_pos]
-    return union, ends
-
-
 def _interpolated(
     points: CsrMatrix, parents: np.ndarray, neighbors: np.ndarray, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,9 +131,31 @@ def _interpolated(
 
     x and nn the rows parents[t] and neighbors[t] of points, sorted by t, then
     column. It is computed on the union of x's and nn's columns (it is exactly
-    0 elsewhere), and exact zeros are dropped.
+    0 elsewhere), and exact zeros are dropped. The union merges the neighbor
+    entries' sorted row-major keys into the parent entries' by binary search,
+    not by a sort.
     """
-    union, (x, nn) = _merge(points, parents, neighbors)
+    (parent_keys, parent_pos), (neighbor_keys, neighbor_pos) = (
+        _keys(points, parents), _keys(points, neighbors)
+    )
+    slot = np.searchsorted(parent_keys, neighbor_keys)  # the parent keys below each, for now
+    only = np.ones(len(neighbor_keys), dtype=bool)  # neighbor keys no parent key equals
+    if len(parent_keys):  # a key past the last parent key clips to it, which is below it
+        only = parent_keys.take(slot, mode="clip") != neighbor_keys
+    # A neighbor entry's slot in the union: the parent keys below it plus the
+    # neighbor-only keys before it. The parent entries fill the other slots, in order.
+    slot += np.cumsum(only)
+    slot -= only
+    from_parent = np.ones(len(parent_keys) + np.count_nonzero(only), dtype=bool)
+    from_parent[slot[only]] = False
+    union = np.empty(len(from_parent), dtype=np.intp)
+    union[from_parent] = parent_keys
+    union[slot] = neighbor_keys
+    x, nn = np.zeros((2, len(union)))  # each 0 where its row lacks the column
+    x[from_parent] = points.data[parent_pos]
+    nn[slot] = points.data[neighbor_pos]
+    # The merge's arrays, else alive while the block is interpolated.
+    del parent_keys, parent_pos, neighbor_keys, neighbor_pos, only, slot, from_parent
     row, column = np.divmod(union, points.dimension)
     del union
     # x + gaps * (nn - x) in nn's place: the same products and sums, so the same rounding.
@@ -244,8 +216,9 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
 
     Every class is planned first, as (parents, neighbors, gaps) in dataset
     rows; a duplicated row is (p, p, 0), as x + 0 * (x - x) is x. The output
-    arrays are then sized from the planned rows' column unions, class by
-    class, allocated once, and filled FILL_ROWS rows at a time.
+    arrays are then allocated once, sized by a bound: a synthetic row holds
+    at most its parent's entries plus its neighbor's. They are filled
+    FILL_ROWS rows at a time.
     """
     plan = []  # (class, parents, neighbors, gaps)
     for c, quota in enumerate(plan_resample(dataset).synthetic_counts):
@@ -263,9 +236,9 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
         parents = np.arange(quota) % n_c
         picks, gaps = _draws([cfg.seed, c], k, quota)
         plan.append((c, members[parents], members[knn[parents, picks]], gaps))
-    n, nnz = len(dataset), len(dataset.indices)
+    n, nnz, lengths = len(dataset), len(dataset.indices), np.diff(dataset.indptr)
     rows = n + sum(len(parents) for _, parents, _, _ in plan)
-    entries = nnz + sum(_union_size(dataset, p, nb) for _, p, nb, _ in plan)
+    entries = nnz + sum(lengths[p].sum() + lengths[nb].sum() for _, p, nb, _ in plan)
     indptr, labels = np.empty(rows + 1, dtype=np.intp), np.empty(rows, dtype=np.intp)
     indices, data = np.empty(entries, dtype=np.intp), np.empty(entries)
     indptr[: n + 1], labels[:n] = dataset.indptr, dataset.labels
@@ -282,7 +255,8 @@ def smote(dataset: LabeledDataset, cfg: SmoteConfig = SmoteConfig()) -> LabeledD
             row, end = row + m, stop
             del owner, column, value  # else alive while the next block is interpolated
     np.cumsum(indptr[n:], out=indptr[n:])
-    # The unions sized the arrays; exact zeros dropped leave their last entries unused.
+    # The bound counts a column both rows hold twice, and dropped exact zeros
+    # take no entry. The tail is never written; a trimmed copy would double the peak.
     return LabeledDataset(
         indptr, indices[:end], data[:end], dataset.dimension, labels, dataset.num_classes
     )

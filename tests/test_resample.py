@@ -190,6 +190,19 @@ class TestSmote:
         smote(d, SmoteConfig(seed=4))
         assert len(built) == 2 * one_block
 
+    def test_fill_reads_fill_rows_at_a_time(self, monkeypatch):
+        # The output is sized from row lengths, so no pass reads a whole class's planned rows.
+        keys, read = resample._keys, []
+
+        def recording(points, rows):
+            read.append(len(rows))
+            return keys(points, rows)
+
+        monkeypatch.setattr(resample, "FILL_ROWS", 4)
+        monkeypatch.setattr(resample, "_keys", recording)
+        smote(skewed_dataset(seed=1, counts=(40, 7, 1)))
+        assert read and max(read) <= resample.FILL_ROWS
+
     @pytest.mark.parametrize("classes, skew", [(20, 0.75), (10, 0.75), (5, 1.5)])
     def test_peak_memory_near_the_output(self, classes, skew):
         # 3,000 rows with priors ~ (c + 1)^-skew, about 15 integer counts a row; numpy
@@ -259,12 +272,18 @@ class TestOracle:
         # class 1 has 3 * BLOCK_ROWS rows, and its 2 * BLOCK_ROWS + 7 parents
         # take more than two k-NN blocks
         ((5 * BLOCK_ROWS + 7, 3 * BLOCK_ROWS, 5), 5),
+        # a count -n is a class of n identical rows, for which the output's size
+        # bound (parent's entries plus neighbor's) is twice what is filled
+        ((14, -8, 3), 5),
     ])
     def test_edge_cases(self, counts, k):
         rng = np.random.default_rng(len(counts) + k)
-        labels = [c for c, n in enumerate(counts) for _ in range(n)]
+        labels = [c for c, n in enumerate(counts) for _ in range(abs(n))]
         rng.shuffle(labels)
         X = rng.poisson(0.6, size=(len(labels), 6)).astype(float)
+        for c in np.flatnonzero(np.array(counts) < 0):
+            members = np.flatnonzero(np.array(labels) == c)
+            X[members] = 1 + X[members[0]]
         d = dataset_from_dense(X, labels, len(counts))
         cfg = SmoteConfig(k_neighbors=k, seed=3)
         with small_knn():
