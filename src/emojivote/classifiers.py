@@ -689,12 +689,14 @@ def rf_predict_proba(model: RfModel, X: CsrMatrix) -> np.ndarray:
     columns, after a column 0 of zeros; column[f] is feature f's place in it,
     0 for a feature absent from the block and, at index -1, for a leaf. All
     (row, tree) walks of the block advance one level per step, each reading
-    x[row, f] as table[row, column[f]].
+    x[row, f] from the flat table at base[walk] + column[f], where base[walk]
+    is row * width, and taking its next node from one array of both children.
     """
     _check_dimension(model, X)
     n, T, k = len(X), len(model.roots), model.num_classes
     out = np.empty((n, k))
     column = np.zeros(X.dimension + 1, dtype=np.intp)  # column[-1] stays 0
+    children = np.column_stack([model.right, model.left]).ravel()  # a's right at 2a, left at 2a + 1
     for start in range(0, n, RF_BLOCK_ROWS):
         m = min(RF_BLOCK_ROWS, n - start)
         owner, entries = X.positions(np.arange(start, start + m))
@@ -702,17 +704,18 @@ def rf_predict_proba(model: RfModel, X: CsrMatrix) -> np.ndarray:
         present = np.sort(indices)  # then deduplicated (np.unique would import numpy.ma)
         present = present[np.diff(present, prepend=-1) > 0]
         column[present] = np.arange(1, len(present) + 1)
-        table = np.zeros((m, len(present) + 1))
-        table[owner, column[indices]] = X.data[entries]
+        width = len(present) + 1
+        table = np.zeros(m * width)
+        table[owner * width + column[indices]] = X.data[entries]
         split_column = column[model.feature]
         column[present] = 0
         node = np.tile(model.roots, m)  # walk r * T + t: row r, tree t
-        row = np.repeat(np.arange(m), T)
+        base = np.repeat(np.arange(0, m * width, width), T)
         live = np.flatnonzero(model.feature[node] >= 0)
         while live.size:
             at = node[live]
-            x = table[row[live], split_column[at]]
-            at = np.where(x <= model.threshold[at], model.left[at], model.right[at])
+            x = table[base[live] + split_column[at]]
+            at = children[2 * at + (x <= model.threshold[at])]
             node[live] = at
             live = live[model.feature[at] >= 0]
         counts = model.counts[node].reshape(m, T, k)

@@ -30,7 +30,7 @@ from .ensemble import (
     select,
 )
 from .exceptions import ArchiveError, DataError
-from .features import FeatureConfig, text_to_vector, vectorize_corpus
+from .features import FeatureConfig, text_to_vector, token_table, vectorize_corpus
 from .metrics import confusion, evaluate, report_render
 from .preprocess import AsciiPolicy
 from .resample import SmoteConfig, plan_resample, smote
@@ -97,16 +97,17 @@ def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
 
     The texts are cut into contiguous shares of equal size (to one tweet), one
     per full PREDICT_CHUNK and at most one per usable CPU, and each share is
-    vectorized and predicted chunk by chunk in its own process. Every row's
-    distribution depends on that row alone, so the output is the same
-    however many processes share the work.
+    vectorized and predicted chunk by chunk in its own process, through one
+    token table built here. Every row's distribution depends on that row
+    alone, so the output is the same however many processes share the work.
     """
     predictor = select(ar.model, selector)
+    table = token_table(ar.vocabulary)
 
     def predict(share: list[str]) -> list[np.ndarray]:
         return [
             predictor.predict_proba(
-                text_to_vector(share[start : start + PREDICT_CHUNK], ar.policy, ar.vocabulary)
+                text_to_vector(share[start : start + PREDICT_CHUNK], ar.policy, ar.vocabulary, table)
             )
             for start in range(0, len(share), PREDICT_CHUNK)
         ]

@@ -47,6 +47,10 @@ _CONTRACTION_PART = re.compile(r".[^']*", re.S)
 
 
 def _split_chunk(chunk: str) -> list[str]:
+    # No alphanumeric codepoint is punctuation (P*) or a symbol (S*), and
+    # "'", "#" and "@" are not alphanumeric, so such a chunk is one token.
+    if chunk.isalnum():
+        return [chunk]
     # Hashtags and mentions survive whole (marker attached), minus any
     # trailing punctuation run.
     if chunk[0] in "#@" and len(chunk) > 1:

@@ -1,15 +1,22 @@
 """The predict-path kernels that the batch scorers replaced, kept as the
 references their results must equal bit for bit: the `np.add.at` linear
 scorer, the forest walk that finds each x[row, feature] by `searchsorted`
-over sorted row * V + index keys, and the character-loop ASCII policy and
-tokenizer that split every whitespace chunk anew.
+over sorted row * V + index keys, the character-loop ASCII policy and
+tokenizer that split every whitespace chunk anew, and the chunk splitter
+that scans every chunk for punctuation.
 """
 
 import numpy as np
 
 from emojivote.classifiers import RfModel
 from emojivote.features import CsrMatrix
-from emojivote.preprocess import REMOVED_CODEPOINTS, AsciiPolicy, _split_chunk
+from emojivote.preprocess import (
+    _CONTRACTION_PART,
+    REMOVED_CODEPOINTS,
+    AsciiPolicy,
+    _is_punct,
+    _split_chunk,
+)
 
 
 def linear_scores(bias: np.ndarray, weights: np.ndarray, X: CsrMatrix) -> np.ndarray:
@@ -53,4 +60,26 @@ def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     for chunk in text.split():
         tokens.extend(_split_chunk(chunk))
+    return tokens
+
+
+def split_chunk(chunk: str) -> list[str]:
+    """_split_chunk without its shortcut for alphanumeric chunks."""
+    if chunk[0] in "#@" and len(chunk) > 1:
+        j = len(chunk)
+        while j > 1 and _is_punct(chunk[j - 1]):
+            j -= 1
+        if chunk[1:j]:
+            return [chunk[:j], chunk[j:]] if j < len(chunk) else [chunk]
+    i, j = 0, len(chunk)
+    while i < j and _is_punct(chunk[i]):
+        i += 1
+    if i == len(chunk):  # pure punctuation chunk
+        return [chunk]
+    while j > i and _is_punct(chunk[j - 1]):
+        j -= 1
+    tokens = [chunk[:i]] if i > 0 else []
+    tokens += _CONTRACTION_PART.findall(chunk, i, j)
+    if j < len(chunk):
+        tokens.append(chunk[j:])
     return tokens

@@ -651,10 +651,18 @@ def test_importing_text_modules_skips_numpy():
     assert done.returncode == 0, done.stderr
 
 
-def test_no_command_imports_numpy_ma(toy_files, tmp_path):
+def one_tweet(toy_files, tmp_path) -> str:
+    """A file of the toy corpus's first tweet: a cold one-tweet predict's input."""
+    path = tmp_path / "one.txt"
+    path.write_text((toy_files / "t.txt").read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_no_command_imports_numpy_ma(trained_model, toy_files, tmp_path):
     # Importing numpy.ma costs a process 11-18 ms and about 1.6 MB of peak RSS.
     text, labels, model = str(toy_files / "t.txt"), str(toy_files / "l.txt"), str(tmp_path / "m.bin")
     commands = [
+        ["predict", str(trained_model), one_tweet(toy_files, tmp_path)],  # first, in a fresh process
         ["train", text, labels, "-k", "3", "-o", model] + TRAIN_FLAGS,
         ["train", text, labels, "-k", "3", "-o", model, "--split", "0.2"] + TRAIN_FLAGS,
         ["predict", model, text, "--proba", "-o", str(tmp_path / "p.txt")],
@@ -669,6 +677,7 @@ def test_predicting_imports_no_numpy_random(trained_model, toy_files, tmp_path):
     # Importing numpy.random costs a process about 2.5 MB of peak RSS; only fits draw.
     text, labels, model = str(toy_files / "t.txt"), str(toy_files / "l.txt"), str(trained_model)
     commands = [
+        ["predict", model, one_tweet(toy_files, tmp_path)],  # first, in a fresh process
         ["predict", model, text, "--proba", "-o", str(tmp_path / "p.txt")],
         ["evaluate", model, text, labels, "--report", str(tmp_path / "r.txt")],
         ["stats", text, labels, "-k", "3"],

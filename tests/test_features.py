@@ -12,6 +12,7 @@ from emojivote.features import (
     CsrMatrix,
     FeatureConfig,
     LabeledDataset,
+    Vocabulary,
     build_vocabulary,
     ngram_bags,
     text_to_vector,
@@ -169,6 +170,19 @@ tweets_strategy = st.lists(
 policy_texts_strategy = st.lists(st.text(alphabet="ab é’…'#@.,\t\n ", max_size=12), max_size=30)
 
 
+# Feature-to-column maps a hand-built archive could hold: features that no
+# gram spells (two spaces, empty, a tab, a space at either end, no string),
+# two features on one column, a negative column, a column past the dimension,
+# and columns that np.fromiter converts to intp (a float and a string).
+HAND_BUILT = [
+    {"a": 0, "a  b": 1, "": 2, "a\tb": 3, " a": 4, "b ": 5, "a b": 6, 7: 7, ("a", "b"): 8},
+    {"a": 0, "b": 0, "a b": 1},
+    {"a": -1, "a b": 0, "b": 1},
+    {"a": 0, "b": 2},
+    {"a": 1.0, "b": "0", "a b": 2},
+]
+
+
 class TestVectorizeOracle:
     """The CSR rows equal a per-bag {index: count} reference, chunked or not."""
 
@@ -179,16 +193,32 @@ class TestVectorizeOracle:
     @example(texts=["", "   ", "\t\n", "a", "b"], min_df=1)  # empty, blank and one-token tweets
     @example(texts=["a b a b a", "b a", "a"], min_df=2)  # a bigram repeated within a tweet
     @example(texts=["a b", "a b c", "c"], min_df=4)  # min_df above every document frequency
+    @example(texts=["", "é’…", "a b", "b a", "ab ba", "ab ba"], min_df=2)  # empty and all-OOV tweets
+    @example(texts=["a b", "a c", "c b"], min_df=2)  # a, b unigram features, "a b" not
     def test_vocabulary_and_rows_equal_bag_reference(self, policy, texts, min_df):
         cfg = FeatureConfig(min_df=min_df)
         vocab, d = vectorize_corpus(RawCorpus(texts, [0] * len(texts), 2), policy, cfg)
         bags = ngram_bags(texts, policy)
         assert vocab == build_vocabulary(bags, cfg)
         reference = vectorize(bags, vocab)
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(d, name), getattr(reference, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for X in (d, text_to_vector(texts, policy, vocab)):
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(X, name), getattr(reference, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
         assert d.dimension == vocab.size and d.labels.tolist() == [0] * len(texts)
+
+    @pytest.mark.parametrize("policy", list(AsciiPolicy))
+    @pytest.mark.parametrize("features", HAND_BUILT)
+    @settings(max_examples=50, deadline=None)
+    @given(texts=policy_texts_strategy)
+    @example(texts=["a b", "b a a", "a\tb", "a  b", "", "c"])
+    def test_hand_built_vocabulary_equals_bag_reference(self, policy, features, texts):
+        vocab = Vocabulary(list(features), features, num_unigrams=0, num_bigrams=0)
+        bags = ngram_bags(texts, policy)
+        refused = failure(lambda: vectorize(bags, vocab))  # the layout check's message, or None
+        assert failure(lambda: text_to_vector(texts, policy, vocab)) == refused
+        if refused is None:
+            assert same(text_to_vector(texts, policy, vocab), vectorize(bags, vocab))
 
     @pytest.mark.parametrize("policy", list(AsciiPolicy))
     def test_min_df_above_every_frequency(self, policy):

@@ -1,11 +1,13 @@
 """The predict-path kernels give the same results, bit for bit, as the ones
 they replaced (kept in `predict_oracle.py`): the linear scorer of naive Bayes
-and logistic regression, the blocked forest walk, and the ASCII policy and
-memoized tokenizer under `ngram_bags`.
+and logistic regression, the blocked forest walk, the ASCII policy and
+memoized tokenizer under `ngram_bags`, and the chunk splitter.
 """
 
+import unicodedata
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import predict_oracle as oracle
@@ -15,6 +17,7 @@ from emojivote.features import ngram_bags
 from emojivote.preprocess import (
     REMOVED_CODEPOINTS,
     AsciiPolicy,
+    _split_chunk,
     apply_ascii_policy,
     extract_ngrams,
     tokenize,
@@ -133,7 +136,29 @@ def reference_bags(texts, policy):
 policies = st.sampled_from(list(AsciiPolicy))
 
 
+# Chunks whose letters, digits and marks come from any script, alone or next
+# to the pieces above.
+word_chunks = st.lists(
+    piece | st.characters(whitelist_categories=("L", "N", "M")), min_size=1, max_size=8
+).map("".join)
+
+
 class TestTextKernels:
+    def test_no_alphanumeric_codepoint_is_punctuation_or_symbol(self):
+        # _split_chunk returns an alphanumeric chunk whole on this, under the
+        # running Python's Unicode database.
+        for i in range(0x110000):
+            if chr(i).isalnum():
+                assert unicodedata.category(chr(i))[0] not in "PS", hex(i)
+
+    @settings(max_examples=500, deadline=None)
+    @given(chunk=chunks | word_chunks)
+    @example(chunk="don't")
+    @example(chunk="#tag")
+    @example(chunk="Ñandú2")
+    def test_split_chunk_equals_slow_path(self, chunk):
+        assert _split_chunk(chunk) == oracle.split_chunk(chunk)
+
     @settings(max_examples=200, deadline=None)
     @given(text=st.lists(piece | spaces, max_size=20).map("".join), policy=policies)
     def test_ascii_policy_equals_character_loop(self, text, policy):
