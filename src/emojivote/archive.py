@@ -171,4 +171,21 @@ def archive_load(path) -> ModelArchive:
         raise ArchiveError(f"{path}: a section does not unpickle: {exc!r}") from exc
     if not (isinstance(vocabulary, Vocabulary) and isinstance(model, MetaSpec)):
         raise ArchiveError(f"{path}: sections are not a vocabulary and a model")
+    # The vocabulary maps string features one to one onto the columns [0, size)
+    # where index_to_feature lists them, num_unigrams + num_bigrams of them.
+    features = getattr(vocabulary, "index_to_feature", None)
+    index = getattr(vocabulary, "feature_to_index", None)
+    if type(index) is not dict or not all(type(f) is str for f in index):
+        raise ArchiveError(f"{path}: a vocabulary feature is not a string")
+    if type(features) is not list or not all(
+        type(c) is int and 0 <= c < len(features) for c in index.values()
+    ):
+        raise ArchiveError(f"{path}: a vocabulary column is not an integer in [0, size)")
+    if len(index) != len(features) or not all(
+        type(features[c]) is str and features[c] == f for f, c in index.items()
+    ):
+        raise ArchiveError(f"{path}: feature_to_index is not the inverse of index_to_feature")
+    counts = [getattr(vocabulary, name, None) for name in ("num_unigrams", "num_bigrams")]
+    if not (all(type(n) is int and n >= 0 for n in counts) and sum(counts) == len(features)):
+        raise ArchiveError(f"{path}: num_unigrams + num_bigrams is not the vocabulary size")
     return ModelArchive(language, policy, vocabulary, model, metadata)

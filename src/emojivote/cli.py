@@ -12,26 +12,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .archive import ModelArchive, archive_load, archive_save, atomic_file, check_output_path
-from .classifiers import LrConfig, MnbConfig, RfConfig
-from .corpus import (
-    LabelMapping,
-    RawCorpus,
-    _read_lines,
-    load_corpus,
-    load_mapping,
-)
-from .ensemble import (
-    LANGUAGE_BASE_WEIGHTS,
-    LANGUAGE_META_WEIGHTS,
-    SELECTORS,
-    build_meta,
-    check_weights,
-    select,
-)
+# What every command uses; a command imports the models, archive and metrics it runs.
+from .corpus import LabelMapping, RawCorpus, _read_lines, load_corpus, load_mapping
 from .exceptions import ArchiveError, DataError
 from .features import FeatureConfig, text_to_vector, token_table, vectorize_corpus
-from .metrics import confusion, evaluate, report_render
 from .preprocess import AsciiPolicy
 from .resample import SmoteConfig, plan_resample, smote
 from .workers import fork_map, usable_cpus
@@ -41,6 +25,22 @@ PREDICT_CHUNK = 256  # tweets per batch: amortizes numpy calls, keeps batch memo
 
 class UsageError(Exception):
     pass
+
+
+# Called through this module's globals, where perfbench/tracer.py wraps them by name.
+def build_meta(dataset, **configs):
+    from .ensemble import build_meta
+    return build_meta(dataset, **configs)
+
+
+def archive_save(archive, path) -> None:
+    from .archive import archive_save
+    archive_save(archive, path)
+
+
+def archive_load(path):
+    from .archive import archive_load
+    return archive_load(path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,6 +59,7 @@ def _flag_values():
 
 def _weights(text, preset: tuple[float, ...], flag: str) -> tuple[float, ...]:
     """The weights a comma-separated flag value gives, or the language preset."""
+    from .ensemble import check_weights
     if not text:
         return preset
     try:
@@ -70,6 +71,7 @@ def _weights(text, preset: tuple[float, ...], flag: str) -> tuple[float, ...]:
 
 
 def _write_atomic(path, content: str) -> None:
+    from .archive import atomic_file
     with atomic_file(path, "w", encoding="utf-8") as fh:
         fh.write(content)
 
@@ -92,7 +94,7 @@ def _stratified_split(corpus: RawCorpus, fraction: float, seed: int):
     return make(train_i), make(test_i)
 
 
-def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
+def _predict_chunks(ar: "ModelArchive", texts: list[str], selector: str):
     """(n, k) distributions for consecutive chunks of at most PREDICT_CHUNK texts.
 
     The texts are cut into contiguous shares of equal size (to one tweet), one
@@ -101,6 +103,7 @@ def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
     token table built here. Every row's distribution depends on that row
     alone, so the output is the same however many processes share the work.
     """
+    from .ensemble import select
     predictor = select(ar.model, selector)
     table = token_table(ar.vocabulary)
 
@@ -119,7 +122,7 @@ def _predict_chunks(ar: ModelArchive, texts: list[str], selector: str):
         yield from part
 
 
-def _predict_labels(ar: ModelArchive, texts: list[str], selector: str) -> list[int]:
+def _predict_labels(ar: "ModelArchive", texts: list[str], selector: str) -> list[int]:
     return [int(c) for probs in _predict_chunks(ar, texts, selector) for c in probs.argmax(axis=1)]
 
 
@@ -132,6 +135,9 @@ def _vectorize(corpus: RawCorpus, policy: AsciiPolicy, features: FeatureConfig):
 
 
 def cmd_train(args) -> int:
+    from .archive import ModelArchive, check_output_path
+    from .classifiers import LrConfig, MnbConfig, RfConfig
+    from .presets import LANGUAGE_BASE_WEIGHTS, LANGUAGE_META_WEIGHTS
     with _flag_values():
         features = FeatureConfig(min_df=args.min_df)
         smote_cfg = SmoteConfig(k_neighbors=args.smote_k, seed=args.seed)
@@ -195,6 +201,7 @@ def cmd_train(args) -> int:
     print(f"model written to {args.out}")
 
     if test_corpus is not None and len(test_corpus) > 0:
+        from .metrics import confusion, evaluate
         preds = _predict_labels(ar, test_corpus.texts, args.selector)
         report = evaluate(confusion(test_corpus.labels, preds, corpus.num_classes))
         print(
@@ -205,6 +212,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .archive import check_output_path
     if args.out:
         check_output_path(args.out)
     ar = archive_load(args.model)
@@ -226,6 +234,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .archive import check_output_path
+    from .ensemble import select
+    from .metrics import confusion, evaluate, report_render
     for path in filter(None, (args.report, args.matrix)):
         check_output_path(path)
     ar = archive_load(args.model)
@@ -270,9 +281,16 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
-    """Flags shared by `train` and `resample`; `resample` takes `--lang` but ignores it."""
+def _stats_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("text", help="tweets, one per line")
+    p.add_argument("labels", help="class indices, one per line")
     p.add_argument("-k", "--classes", type=int, required=True)
+
+
+def _resample_flags(p: argparse.ArgumentParser) -> None:
+    """`resample`'s flags, which `train` shares; `resample` takes `--lang` but ignores it."""
+    from .presets import LANGUAGE_BASE_WEIGHTS
+    _stats_flags(p)
     p.add_argument("--lang", choices=sorted(LANGUAGE_BASE_WEIGHTS), default="en")
     policies = [policy.value for policy in AsciiPolicy]
     p.add_argument("--ascii-policy", choices=policies, default=AsciiPolicy.KEEP_MOST.value)
@@ -281,14 +299,10 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="emojivote", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train the two-level ensemble and write a model archive")
-    p.add_argument("text", help="tweets, one per line")
-    p.add_argument("labels", help="class indices, one per line")
-    _add_corpus_flags(p)
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    from .classifiers import LrConfig, MnbConfig, RfConfig
+    from .ensemble import SELECTORS
+    _resample_flags(p)
     p.add_argument("-o", "--out", required=True, help="model archive output path")
     p.add_argument("--split", type=float, default=None, help="held-out fraction (stratified)")
     p.add_argument("--selector", choices=SELECTORS, default="meta")
@@ -297,17 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=int, default=RfConfig.n_trees)
     p.add_argument("--base-weights", default=None, metavar="W1,W2,W3")
     p.add_argument("--meta-weights", default=None, metavar="W1,W2")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict labels for a text file")
+
+def _predict_flags(p: argparse.ArgumentParser) -> None:
+    from .ensemble import SELECTORS
     p.add_argument("model", help="model archive path")
     p.add_argument("text", help="tweets, one per line")
     p.add_argument("-o", "--out", default=None, help="output label file (default stdout)")
     p.add_argument("--selector", choices=SELECTORS, default="meta")
     p.add_argument("--proba", action="store_true", help="append the full distribution per line")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="predict then score against gold labels")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
+    from .ensemble import SELECTORS
     p.add_argument("model")
     p.add_argument("text")
     p.add_argument("gold", help="gold class indices, one per line")
@@ -315,25 +331,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", default=None, help="label mapping file (index<TAB>display)")
     p.add_argument("--report", default=None, help="write metrics table here")
     p.add_argument("--matrix", default=None, help="write confusion-matrix CSV grid here")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("resample", help="report SMOTE oversampling statistics")
-    p.add_argument("text")
-    p.add_argument("labels")
-    _add_corpus_flags(p)
-    p.set_defaults(func=cmd_resample)
 
-    p = sub.add_parser("stats", help="print the class distribution")
-    p.add_argument("text")
-    p.add_argument("labels")
-    p.add_argument("-k", "--classes", type=int, required=True)
-    p.set_defaults(func=cmd_stats)
-
+def build_parser(command) -> argparse.ArgumentParser:
+    """A parser of the five commands that adds the flags of `command` alone, as
+    the others' defaults and choices come from modules `command` may not load."""
+    parser = _Parser(prog="emojivote", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, add_flags, summary in [
+        ("train", cmd_train, _train_flags, "train the two-level ensemble and write a model archive"),
+        ("predict", cmd_predict, _predict_flags, "predict labels for a text file"),
+        ("evaluate", cmd_evaluate, _evaluate_flags, "predict then score against gold labels"),
+        ("resample", cmd_resample, _resample_flags, "report SMOTE oversampling statistics"),
+        ("stats", cmd_stats, _stats_flags, "print the class distribution"),
+    ]:
+        p = sub.add_parser(name, help=summary)
+        if name == command:
+            add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         if getattr(args, "classes", 2) < 2:  # checked before any file is read

@@ -22,6 +22,7 @@ from .classifiers import (
     rf_fit_prefixes,
 )
 from .features import CsrMatrix, LabeledDataset
+from .presets import LANGUAGE_BASE_WEIGHTS, LANGUAGE_META_WEIGHTS  # noqa: F401 (re-exported)
 from .resample import SmoteConfig, smote
 
 # Member order for base-ensemble weight triples.
@@ -30,11 +31,6 @@ BASE_MEMBER_ORDER = ("mnb", "lr", "rf")
 # Names of the parts of a meta model that predict on their own: the base
 # members of Ensemble1, the two base ensembles, and the meta vote.
 SELECTORS = BASE_MEMBER_ORDER + ("ensemble1", "ensemble2", "meta")
-
-# Hand-tuned voting weights per language: base triple (MNB, LR, RF) and
-# meta pair (Ensemble1, Ensemble2).
-LANGUAGE_BASE_WEIGHTS = {"es": (1.1, 1.0, 1.0), "en": (1.5, 6.0, 1.0)}
-LANGUAGE_META_WEIGHTS = {"es": (3.0, 1.0), "en": (4.0, 1.0)}
 
 
 def select(model: "MetaSpec", name: str):

@@ -21,7 +21,7 @@ from emojivote.exceptions import (
     ArchiveVersionError,
     DataError,
 )
-from emojivote.features import FeatureConfig, vectorize_corpus
+from emojivote.features import FeatureConfig, Vocabulary, vectorize_corpus
 from emojivote.corpus import RawCorpus
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
@@ -207,6 +207,27 @@ MALFORMED = {  # name: (header, vocabulary, model); None keeps the trained archi
 }
 
 
+def vocabulary(index=None, features=None, num_unigrams=2, num_bigrams=1) -> bytes:
+    """A pickled vocabulary; the defaults give a valid one of two unigrams and a bigram."""
+    index = {"a": 0, "b": 1, "a b": 2} if index is None else index
+    features = ["a", "b", "a b"] if features is None else features
+    return pickle.dumps(Vocabulary(features, index, num_unigrams, num_bigrams), protocol=4)
+
+
+BAD_VOCABULARIES = {  # name: (pickled vocabulary, what the error says)
+    "feature not a string": (vocabulary({"a": 0, b"b": 1, "a b": 2}), "feature is not a string"),
+    "column not an integer": (vocabulary({"a": 0, "b": "x", "a b": 2}), "column is not an integer"),
+    "column a bool": (vocabulary({"a": 0, "b": True, "a b": 2}), "column is not an integer"),
+    "column out of range": (vocabulary({"a": 0, "b": 1, "a b": 3}), "column is not an integer"),
+    "negative column": (vocabulary({"a": 0, "b": -1, "a b": 2}), "column is not an integer"),
+    "index and features disagree": (vocabulary({"a": 0, "b": 2, "a b": 1}), "not the inverse"),
+    "feature missing from the index": (vocabulary({"a": 0, "b": 1}), "not the inverse"),
+    "features not a list": (vocabulary(features=("a", "b", "a b")), "column is not an integer"),
+    "sizes do not add up": (vocabulary(num_bigrams=2), "num_unigrams \\+ num_bigrams"),
+    "fields missing": (pickle.dumps(Vocabulary.__new__(Vocabulary), protocol=4), "not a string"),
+}
+
+
 class TestMalformedSections:
     """Well-checksummed archives whose sections are malformed raise ArchiveError."""
 
@@ -220,6 +241,22 @@ class TestMalformedSections:
     def test_well_formed_sections_load(self, trained_archive, tmp_path):
         write_sections(tmp_path / "m.bin", *self.sections(trained_archive, None, None, None))
         assert archive_load(tmp_path / "m.bin").policy is AsciiPolicy.KEEP_MOST
+
+    def test_hand_built_vocabulary_loads(self, trained_archive, tmp_path):
+        write_sections(tmp_path / "m.bin", *self.sections(trained_archive, None, vocabulary(), None))
+        assert archive_load(tmp_path / "m.bin").vocabulary == pickle.loads(vocabulary())
+
+    @pytest.mark.parametrize("kind", sorted(BAD_VOCABULARIES))
+    def test_bad_vocabulary_is_an_archive_error(self, trained_archive, tmp_path, capsys, kind):
+        # A vocabulary that unpickles but breaks prediction fails the load, so predict exits 2, not 3.
+        pickled, message = BAD_VOCABULARIES[kind]
+        write_sections(tmp_path / "m.bin", *self.sections(trained_archive, None, pickled, None))
+        with pytest.raises(ArchiveError, match=message):
+            archive_load(tmp_path / "m.bin")
+        text = tmp_path / "t.txt"
+        text.write_text("a b\n")
+        assert main(["predict", str(tmp_path / "m.bin"), str(text)]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_raises_archive_error(self, trained_archive, tmp_path, kind):

@@ -685,20 +685,83 @@ def test_predicting_imports_no_numpy_random(trained_model, toy_files, tmp_path):
     assert_commands_skip(commands, "numpy.random")
 
 
-def assert_commands_skip(commands, module: str):
-    """Run the commands in one fresh process, which must not import `module`."""
+def test_resample_and_stats_skip_the_model_stack(toy_files):
+    # Importing the models, the archive and the metrics was about a third of a resample's start-up.
+    text, labels = str(toy_files / "t.txt"), str(toy_files / "l.txt")
+    commands = [
+        ["resample", text, labels, "-k", "3", "--min-df", "2", "--lang", "es"],
+        ["stats", text, labels, "-k", "3"],
+    ]
+    model_stack = ["emojivote.classifiers", "emojivote.ensemble", "emojivote.archive", "emojivote.metrics"]
+    assert_commands_skip(commands, *model_stack)
+
+
+def test_predicting_and_training_without_split_skip_metrics(trained_model, toy_files, tmp_path):
+    text, labels = str(toy_files / "t.txt"), str(toy_files / "l.txt")
+    commands = [
+        ["predict", str(trained_model), one_tweet(toy_files, tmp_path)],  # first, in a fresh process
+        ["predict", str(trained_model), text, "--proba", "-o", str(tmp_path / "p.txt")],
+        ["train", text, labels, "-k", "3", "-o", str(tmp_path / "m.bin")] + TRAIN_FLAGS,
+    ]
+    assert_commands_skip(commands, "emojivote.metrics")
+
+
+def assert_commands_skip(commands, *modules: str):
+    """Run the commands in one fresh process, which must import none of `modules`."""
     script = (
         "import json, sys\n"
         "from emojivote.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
-        "assert sys.argv[2] not in sys.modules, 'a command imported ' + sys.argv[2]\n"
+        "imported = [m for m in sys.argv[2:] if m in sys.modules]\n"
+        "assert not imported, f'a command imported {imported}'\n"
     )
     src = str(Path(emojivote.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands), module], env=env,
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands), *modules], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+CORPUS_FLAGS = ["--classes", "--lang", "--ascii-policy", "--min-df", "--smote-k", "--seed"]
+MODEL_FLAGS = ["--out", "--split", "--selector", "--alpha", "--l2", "--trees", "--base-weights", "--meta-weights"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["text", "labels"] + CORPUS_FLAGS + MODEL_FLAGS),
+        ("predict", ["model", "text", "--out", "--selector", "--proba"]),
+        ("evaluate", ["model", "text", "gold", "--selector", "--mapping", "--report", "--matrix"]),
+        ("resample", ["text", "labels"] + CORPUS_FLAGS),
+        ("stats", ["text", "labels", "--classes"]),
+    ])
+    def test_command_help_lists_its_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: emojivote {command} ")
+        assert [flag for flag in flags if flag not in out] == []
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in ("train", "predict", "evaluate", "resample", "stats"))
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["bogus", "--help"], [], ["-k", "3"]])
+    def test_unknown_or_missing_command_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_no_argv_reads_the_command_line(self, toy_files, capsys, monkeypatch):
+        argv = ["stats", str(toy_files / "t.txt"), str(toy_files / "l.txt"), "-k", "3"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["emojivote"] + argv)
+        assert main(None) == 0
+        assert capsys.readouterr().out == expected != ""
 
 
 class TestDeterminism:

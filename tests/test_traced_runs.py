@@ -1,8 +1,10 @@
 """The benchmark's tracer still finds every span and counter it reads from a
 
-`train` and a `predict` run. Its hooks read values of the program's own
-types; a refactor that changes them reports the hook absent instead of
-failing, so this checks that none goes missing unnoticed.
+`train`, a `predict` and a `resample` run. Its hooks read values of the
+program's own types; a refactor that changes them reports the hook absent
+instead of failing, so this checks that none goes missing unnoticed. A name
+the tracer wraps but the command no longer calls through is not absent, but
+its span never fires, so the spans each command must record are listed too.
 """
 
 import json
@@ -39,12 +41,21 @@ def runs(tmp_path_factory):
     return {
         "train": traced(tmp_path, "train", train),
         "predict": traced(tmp_path, "predict", ["predict", str(model), str(text)]),
+        "resample": traced(tmp_path, "resample", ["resample", str(text), str(labels), "-k", "5", "--min-df", "2"]),
     }
 
 
-@pytest.mark.parametrize("command", ["train", "predict"])
+FIRED = {
+    "train": {"ensemble.build_meta", "archive.save", "resample.smote"},
+    "predict": {"archive.load", "features.text_to_vector"},
+    "resample": {"resample.smote", "features.vectorize_corpus"},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "resample"])
 def test_every_span_and_counter_is_read(runs, command):
     dump = runs[command]
     assert dump["exit_code"] == 0
     assert dump["absent"] == []
+    assert FIRED[command] - {span["name"] for span in dump["spans"] if span["calls"] > 0} == set()
     assert dump["counters"]["grams_in_vocab"] > 0
