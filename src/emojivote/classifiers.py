@@ -7,8 +7,11 @@ fit works on real-valued count sums.
 """
 
 import collections
+import functools
 import math
+import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +178,49 @@ def _take(A: np.ndarray, at: np.ndarray) -> np.ndarray:
     return A if len(at) == len(A) else A[at]
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+
+    None where numpy's BLAS is not one: the 64-bit scipy-openblas names first,
+    then those of numpy 1.24's wheels, then 32-bit OpenBLAS's.
+    """
+    import ctypes
+    import glob
+
+    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "lib*openblas*.so*")):
+        handle = ctypes.CDLL(lib)
+        for name in names:
+            get, set_ = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread, then give it back its thread count.
+
+    Where it already runs on one, nothing is set: in a forked child, whose
+    OpenBLAS has no threads, setting the count starts them, and one then
+    spins on the CPU for about 0.1 s.
+    """
+    blas = _openblas()
+    threads = blas[0]() if blas is not None else 1
+    if threads == 1:
+        yield
+        return
+    blas[1](1)
+    try:
+        yield
+    finally:
+        blas[1](threads)
+
+
+@one_blas_thread()
 def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     """One binary L2-regularized problem per class (one-vs-rest), all solved
 
@@ -187,6 +233,10 @@ def lr_fit(dataset: LabeledDataset, cfg: LrConfig = LrConfig()) -> LrModel:
     (k, n), so the elementwise passes run along rows. Each line-search trial
     computes its logits exactly with one product and one exp; the accepted
     trial's Z and exp(-|Z|) are kept, so the next gradient needs only R X.
+
+    BLAS runs on one thread throughout: a threaded product may sum in another
+    order, so the weights would depend on the core count, and its threads
+    would compete with the forked workers that fit beside it.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit logistic regression on an empty dataset")
@@ -635,29 +685,45 @@ class _TreeGrower:
         return nodes, features, thresholds, rows, side
 
 
-def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) -> list[RfModel]:
-    """One forest per size, all grown in one pass: forest i holds n_trees CART
+def _forks(sizes, cfg: RfConfig) -> bool:
+    """Whether forests on `sizes` rows fork: at FORK_MIN_ROW_TREES rows x trees
 
-    trees on bootstrap resamples of the first sizes[i] rows, tree t drawing
-    from the RNG stream (seed, t), so it is the forest rf_fit grows on those
-    rows. The result is seed-deterministic, and the same however many
-    processes grow it: each process grows one contiguous share of every
-    forest's trees, all in one lockstep, and the shares are joined in order.
+    or more, with two usable CPUs or more, and os.fork.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot fit a random forest on an empty dataset")
-    if not all(1 <= size <= len(dataset) for size in sizes):
-        raise ValueError(f"forest sizes must lie in [1, {len(dataset)}], got {list(sizes)}")
-    workers = 1
-    if sum(sizes) * cfg.n_trees >= FORK_MIN_ROW_TREES:  # one per usable CPU, at most one per tree
-        workers = min(_usable_cpus(), cfg.n_trees)
-    splits = np.array_split(np.arange(cfg.n_trees), workers)
-    shares = [[(i, t) for i in range(len(sizes)) for t in split.tolist()] for split in splits]
-    grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg, sizes)
-    parts = fork_map(grower.grow, shares)
-    del grower  # its columns and scratch, before the forests are joined
+    return sum(sizes) * cfg.n_trees >= FORK_MIN_ROW_TREES and _usable_cpus() > 1 and hasattr(os, "fork")
+
+
+def _tree_shares(sizes, cfg: RfConfig, processes: int) -> list[list[tuple]]:
+    """Each forest's trees in min(processes, n_trees) contiguous shares, one
+
+    per process, as (forest, tree index) pairs.
+    """
+    splits = np.array_split(np.arange(cfg.n_trees), min(processes, cfg.n_trees))
+    return [[(i, t) for i in range(len(sizes)) for t in split.tolist()] for split in splits]
+
+
+def rf_worker_shares(sizes, cfg: RfConfig = RfConfig()) -> list[list[tuple]]:
+    """The tree shares of forked workers that grow forests on `sizes` rows
+
+    beside this process: one per usable CPU but this one, at most one per
+    tree; [] where the forests do not fork. Each worker calls rf_grow_share
+    on its share, and rf_join joins the results in order.
+    """
+    return _tree_shares(sizes, cfg, _usable_cpus() - 1) if _forks(sizes, cfg) else []
+
+
+def rf_grow_share(dataset: LabeledDataset, sizes, cfg: RfConfig, share: list[tuple]) -> list[tuple]:
+    """Grow one share of the trees of the forests on `sizes` rows."""
+    return _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg, sizes).grow(share)
+
+
+def rf_join(dataset: LabeledDataset, sizes, parts: list) -> list[RfModel]:
+    """One RfModel per size from the grown shares, in share order; each
+
+    share's arrays of a forest are let go once that forest is joined.
+    """
     models = []
-    for _ in sizes:  # each share's arrays of the next forest, let go once joined
+    for _ in sizes:
         arrays = zip(*(part.pop(0) for part in parts))
         feature, threshold, right, counts, tree_sizes = map(np.concatenate, arrays)
         roots = np.cumsum(tree_sizes) - tree_sizes  # the trees laid end to end
@@ -667,6 +733,27 @@ def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) 
         forest = feature, threshold, left, right, counts, roots
         models.append(RfModel(dataset.dimension, dataset.num_classes, *forest))
     return models
+
+
+def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) -> list[RfModel]:
+    """One forest per size, all grown in one pass: forest i holds n_trees CART
+
+    trees on bootstrap resamples of the first sizes[i] rows, tree t drawing
+    from the RNG stream (seed, t), so it is the forest rf_fit grows on those
+    rows. The result is seed-deterministic, and the same however many
+    processes grow it: each process grows one contiguous share of every
+    forest's trees, all in one lockstep, and the shares are joined in order.
+    Where they fork, one process grows per usable CPU, at most one per tree.
+    """
+    if len(dataset) == 0:
+        raise ValueError("cannot fit a random forest on an empty dataset")
+    if not all(1 <= size <= len(dataset) for size in sizes):
+        raise ValueError(f"forest sizes must lie in [1, {len(dataset)}], got {list(sizes)}")
+    shares = _tree_shares(sizes, cfg, _usable_cpus() if _forks(sizes, cfg) else 1)
+    grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg, sizes)
+    parts = fork_map(grower.grow, shares)
+    del grower  # its columns and scratch, before the forests are joined
+    return rf_join(dataset, sizes, parts)
 
 
 def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:

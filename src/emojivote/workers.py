@@ -1,13 +1,14 @@
 """Map a function over independent tasks in forked worker processes.
 
-Only stages that make no BLAS call run here: a forked worker runs on the
-parent's memory pages, copy on write, and sends back its result through a
-pipe, but BLAS threads in two processes would oversubscribe the cores.
+A forked worker runs on the parent's memory pages, copy on write, and sends
+back its result through a pipe. A task may call BLAS only on one thread, as
+lr_fit does: BLAS threads in two processes would oversubscribe the cores.
 """
 
 import os
 import pickle
 import signal
+import sys
 
 _in_worker = False  # set in a forked worker, whose CPU budget is 1
 
@@ -22,6 +23,21 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+class _ResultPickler(pickle.Pickler):
+    """Pickles a worker's result so that a numpy dtype of a built-in type
+
+    unpickles as numpy's own instance of it, like that of an array made here.
+    (numpy's reduction unpickles a copy, which a pickle of the result, such as
+    an archive, would then memoize apart from numpy's own instance.)
+    """
+
+    def reducer_override(self, obj):
+        dtype = getattr(sys.modules.get("numpy"), "dtype", None)
+        if dtype is not None and isinstance(obj, dtype) and obj.isbuiltin == 1:
+            return dtype, (obj.str,)
+        return NotImplemented
 
 
 def _fork(fn, task) -> tuple:
@@ -53,7 +69,7 @@ def _fork(fn, task) -> tuple:
                         error = pickle.dumps(RuntimeError(repr(exc)))
                     pipe.write(error)
                 else:
-                    pickle.dump(result, pipe, protocol=5)  # arrays written without a copy
+                    _ResultPickler(pipe, protocol=5).dump(result)  # arrays written without a copy
                     status = 0
         finally:
             os._exit(status)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import emojivote
 import fit_oracle
 import lr_oracle
+from emojivote import classifiers
 from emojivote.classifiers import (
     LrConfig,
     lr_fit,
@@ -291,3 +292,41 @@ def test_two_products_per_iteration(monkeypatch):
     lr_fit(d, LrConfig(max_iters=7, tolerance=1e-12))
     assert calls["gradient"] == 7
     assert calls["logits"] == calls["exp"] >= 7
+
+
+@pytest.mark.skipif(classifiers._openblas() is None, reason="numpy's BLAS is not a bundled OpenBLAS")
+@pytest.mark.parametrize("fails", [False, True])
+def test_one_blas_thread_then_the_count_it_found(monkeypatch, fails):
+    get, set_ = classifiers._openblas()
+    rng = np.random.default_rng(5)
+    d = dataset_from_dense(rng.poisson(1.0, size=(30, 4)), [i % 3 for i in range(30)], 3)
+    seen, residuals = [], classifiers._residuals
+
+    def recording(*args):
+        seen.append(get())
+        if fails:
+            raise MemoryError
+        return residuals(*args)
+
+    monkeypatch.setattr(classifiers, "_residuals", recording)
+    found = get()
+    set_(3)
+    try:
+        if fails:
+            with pytest.raises(MemoryError):
+                lr_fit(d, LrConfig(max_iters=5))
+        else:
+            lr_fit(d, LrConfig(max_iters=5))
+        assert get() == 3
+    finally:
+        set_(found)
+    assert seen and set(seen) == {1}
+
+
+def test_one_blas_thread_sets_nothing_where_blas_runs_on_one(monkeypatch):
+    # In a forked child, setting the count starts OpenBLAS's threads again.
+    calls = []
+    monkeypatch.setattr(classifiers, "_openblas", lambda: (lambda: 1, calls.append))
+    rng = np.random.default_rng(5)
+    lr_fit(dataset_from_dense(rng.poisson(1.0, size=(30, 4)), [i % 3 for i in range(30)], 3), LrConfig(max_iters=5))
+    assert calls == []

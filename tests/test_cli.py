@@ -2,6 +2,7 @@ import json
 import os
 import signal
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
@@ -776,3 +777,41 @@ class TestDeterminism:
             assert main(["predict", str(model), str(toy_files / "t.txt"), "-o", str(out)]) == 0
             preds.append(out.read_text())
         assert preds[0] == preds[1]
+
+
+def archive_sections(path) -> list[bytes]:
+    """The header, vocabulary and model sections of an archive, as stored."""
+    blob, pos, sections = path.read_bytes(), 5, []  # after the magic and the version byte
+    for _ in range(3):
+        (length,) = struct.unpack_from("<Q", blob, pos)
+        sections.append(blob[pos + 8 : pos + 8 + length])
+        pos += 8 + length
+    return sections
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_same_model_on_any_cpu_or_blas_thread_count(tmp_path):
+    # 300 English tweets from the benchmark's generator, whose LR products are large
+    # enough for OpenBLAS to thread them where it may use two or more cores.
+    root = Path(emojivote.__file__).parents[2]
+    script = "import sys; sys.path.insert(0, sys.argv[1]); import corpus_gen\n" \
+             "corpus_gen.write_corpus(*corpus_gen.generate(300, 1, 'en', 'train'), *sys.argv[2:])"
+    text, labels = tmp_path / "t.txt", tmp_path / "t.lab"
+    subprocess.run([sys.executable, "-c", script, str(root / "perfbench"), text, labels], check=True, timeout=60)
+    train = "import os, sys\n" \
+            "if sys.argv[1] == 'one cpu':\n" \
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" \
+            "from emojivote.cli import main\n" \
+            "sys.exit(main(sys.argv[2:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(emojivote.__file__).parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    models = []
+    for run in ("default", "one blas thread", "one cpu"):
+        model = tmp_path / f"{run}.bin"
+        argv = ["train", str(text), str(labels), "-k", "20", "--lang", "en", "-o", str(model)]
+        run_env = {**env, "OPENBLAS_NUM_THREADS": "1"} if run == "one blas thread" else env
+        done = subprocess.run([sys.executable, "-c", train, run, *argv], env=run_env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        models.append(archive_sections(model)[1:])  # the header holds a timestamp
+    assert models[0] == models[1] == models[2]

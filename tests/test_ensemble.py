@@ -1,12 +1,14 @@
 import copy
 import dataclasses
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emojivote import classifiers
+from emojivote import classifiers, ensemble
 from emojivote.classifiers import LrConfig, RfConfig
 from emojivote.ensemble import (
     LANGUAGE_BASE_WEIGHTS,
@@ -21,7 +23,7 @@ from emojivote.features import FeatureConfig, vectorize_corpus
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig, smote
 
-from helpers import dataset_from_dense, record_forks, skewed_corpus
+from helpers import assert_reaped, dataset_from_dense, record_forks, skewed_corpus
 
 
 class FixedModel:
@@ -227,3 +229,61 @@ class TestBuildMeta:
         pids = record_forks(monkeypatch)
         self.fit()
         assert len(pids) == 1
+
+    @pytest.mark.parametrize("cpus, forks", [(2, 1), (3, 2), (8, 4)])
+    def test_one_worker_per_spare_cpu_at_most_one_per_tree(self, monkeypatch, cpus, forks):
+        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 1)
+        _, serial = self.fit()
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: cpus)
+        pids = record_forks(monkeypatch)
+        _, meta = self.fit()
+        assert len(pids) == forks
+        assert_reaped(pids)
+        for got, want in zip(meta.members, serial.members, strict=True):
+            for member, reference in zip(got.members, want.members, strict=True):
+                assert_same_member(member, reference)
+
+    def test_fits_where_numpy_has_no_openblas(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "_openblas", lambda: None)
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        self.test_members_equal_member_by_member_fits()
+
+    def test_failure_here_kills_and_reaps_the_workers(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        parent, lr_fit = os.getpid(), ensemble.lr_fit
+
+        def failing_here(data, cfg):  # this process fits Ensemble2's LR, a worker Ensemble1's
+            if os.getpid() == parent:
+                raise ValueError("Ensemble2's LR")
+            time.sleep(60)
+            return lr_fit(data, cfg)
+
+        monkeypatch.setattr(ensemble, "lr_fit", failing_here)
+        pids = record_forks(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="Ensemble2's LR"):
+            self.fit()
+        assert time.monotonic() - start < 30
+        assert len(pids) == 2
+        with pytest.raises(ChildProcessError):  # no child left, running or a zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_blas_count_set_here_around_the_fork_only(self, monkeypatch, tmp_path):
+        log = tmp_path / "set.log"  # a worker's calls, too, outlive it here
+        threads = [2]
+
+        def set_(n):
+            threads[0] = n
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {n}\n")
+
+        monkeypatch.setattr(classifiers, "_openblas", lambda: (lambda: threads[0], set_))
+        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        pids = record_forks(monkeypatch)
+        self.fit()
+        assert len(pids) == 1
+        assert log.read_text().split("\n") == [f"{os.getpid()} 1", f"{os.getpid()} 2", ""]

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from emojivote import workers
@@ -33,3 +34,13 @@ def test_fewer_than_two_tasks_run_here(monkeypatch, tasks):
 def test_serial_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert fork_map(lambda t: (t, os.getpid()), [0, 1, 2]) == [(t, os.getpid()) for t in range(3)]
+
+
+def test_results_keep_numpys_own_dtypes(monkeypatch):
+    # As an array made here would: a pickle of the result (an archive) then memoizes
+    # its dtypes as it would those of the same result computed here.
+    pids = record_forks(monkeypatch)
+    made = lambda _: (np.zeros(2), np.arange(3), np.zeros(1, dtype=[("a", "i4")]))
+    numpys_own = lambda arrays: [a.dtype is np.dtype(a.dtype.str) for a in arrays]
+    assert numpys_own(fork_map(made, [0, 1])[1]) == numpys_own(made(0)) == [True, True, False]
+    assert_reaped(pids)
