@@ -16,7 +16,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ensemble import MetaSpec
+from .classifiers import LrModel, MnbModel, RfModel
+from .ensemble import EnsembleSpec, MetaSpec
 from .exceptions import (
     ArchiveChecksumError,
     ArchiveError,
@@ -188,4 +189,18 @@ def archive_load(path) -> ModelArchive:
     counts = [getattr(vocabulary, name, None) for name in ("num_unigrams", "num_bigrams")]
     if not (all(type(n) is int and n >= 0 for n in counts) and sum(counts) == len(features)):
         raise ArchiveError(f"{path}: num_unigrams + num_bigrams is not the vocabulary size")
+    # Each base ensemble votes over its members in BASE_MEMBER_ORDER, as select reads them,
+    # and every member predicts the same classes from the vocabulary's columns.
+    ensembles = model.ensemble1, model.ensemble2
+    if not all(
+        type(e) is EnsembleSpec and type(e.members) is tuple
+        and tuple(map(type, e.members)) == (MnbModel, LrModel, RfModel)
+        for e in ensembles
+    ):
+        raise ArchiveError(f"{path}: an ensemble is not a vote over MNB, LR and RF, in that order")
+    members = [m for e in ensembles for m in e.members]
+    if any(m.dimension != vocabulary.size for m in members):
+        raise ArchiveError(f"{path}: a member's dimension is not the vocabulary size {vocabulary.size}")
+    if any(m.num_classes != members[0].num_classes for m in members):
+        raise ArchiveError(f"{path}: the members predict different numbers of classes")
     return ModelArchive(language, policy, vocabulary, model, metadata)

@@ -338,12 +338,6 @@ class RfModel:
         return rf_predict_proba(self, X)
 
 
-# Below this many rows x trees (rows summed over the forests grown together)
-# the forests grow in this process alone. A fork costs about 7 ms at 60 MB
-# RSS; on 2 cores, with each process growing its trees in lockstep, 20 trees
-# broke even with two workers at about 40-50 rows, 5 trees at about 150-200.
-FORK_MIN_ROW_TREES = 900
-
 # A lockstep step gathers and scores at most this many entries (those its
 # nodes read, from their rows or their candidates' columns, a bound on those
 # they keep, plus one zero stand-in per candidate) together, unless one node
@@ -685,14 +679,6 @@ class _TreeGrower:
         return nodes, features, thresholds, rows, side
 
 
-def _forks(sizes, cfg: RfConfig) -> bool:
-    """Whether forests on `sizes` rows fork: at FORK_MIN_ROW_TREES rows x trees
-
-    or more, with two usable CPUs or more, and os.fork.
-    """
-    return sum(sizes) * cfg.n_trees >= FORK_MIN_ROW_TREES and _usable_cpus() > 1 and hasattr(os, "fork")
-
-
 def _tree_shares(sizes, cfg: RfConfig, processes: int) -> list[list[tuple]]:
     """Each forest's trees in min(processes, n_trees) contiguous shares, one
 
@@ -703,13 +689,13 @@ def _tree_shares(sizes, cfg: RfConfig, processes: int) -> list[list[tuple]]:
 
 
 def rf_worker_shares(sizes, cfg: RfConfig = RfConfig()) -> list[list[tuple]]:
-    """The tree shares of forked workers that grow forests on `sizes` rows
+    """The tree shares of the workers that grow forests on `sizes` rows
 
-    beside this process: one per usable CPU but this one, at most one per
-    tree; [] where the forests do not fork. Each worker calls rf_grow_share
-    on its share, and rf_join joins the results in order.
+    beside this process: one per usable CPU but this one, at least one and at
+    most one per tree. Each worker calls rf_grow_share on its share, and
+    rf_join joins the results in order.
     """
-    return _tree_shares(sizes, cfg, _usable_cpus() - 1) if _forks(sizes, cfg) else []
+    return _tree_shares(sizes, cfg, max(1, _usable_cpus() - 1))
 
 
 def rf_grow_share(dataset: LabeledDataset, sizes, cfg: RfConfig, share: list[tuple]) -> list[tuple]:
@@ -743,17 +729,15 @@ def rf_fit_prefixes(dataset: LabeledDataset, sizes, cfg: RfConfig = RfConfig()) 
     rows. The result is seed-deterministic, and the same however many
     processes grow it: each process grows one contiguous share of every
     forest's trees, all in one lockstep, and the shares are joined in order.
-    Where they fork, one process grows per usable CPU, at most one per tree.
+    There is one share per usable CPU, at most one per tree, each grown by
+    rf_grow_share in a task of fork_map.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit a random forest on an empty dataset")
     if not all(1 <= size <= len(dataset) for size in sizes):
         raise ValueError(f"forest sizes must lie in [1, {len(dataset)}], got {list(sizes)}")
-    shares = _tree_shares(sizes, cfg, _usable_cpus() if _forks(sizes, cfg) else 1)
-    grower = _TreeGrower(dataset, dataset.labels, dataset.num_classes, cfg, sizes)
-    parts = fork_map(grower.grow, shares)
-    del grower  # its columns and scratch, before the forests are joined
-    return rf_join(dataset, sizes, parts)
+    grow = lambda share: rf_grow_share(dataset, sizes, cfg, share)
+    return rf_join(dataset, sizes, fork_map(grow, _tree_shares(sizes, cfg, _usable_cpus())))
 
 
 def rf_fit(dataset: LabeledDataset, cfg: RfConfig = RfConfig()) -> RfModel:

@@ -20,7 +20,6 @@ from .classifiers import (
     mnb_fit,
     one_blas_thread,
     rf_fit,
-    rf_fit_prefixes,
     rf_grow_share,
     rf_join,
     rf_worker_shares,
@@ -129,33 +128,30 @@ def build_meta(
     original rows, so both forests grow in one pass over the oversampled
     rows, Ensemble1's on that prefix.
 
-    Where the forests fork (see rf_worker_shares), the fits start right after
-    SMOTE, in one fork_map, with BLAS on one thread in every process: this
-    process fits Ensemble2's MNB and LR, the first worker fits Ensemble1's,
-    and each worker then grows its share of both forests. Otherwise every fit
-    runs here, the forests last.
+    The fits run in one fork_map right after SMOTE, with BLAS on one thread
+    in every process. Its first task, run here, fits Ensemble2's MNB and LR;
+    the next fits Ensemble1's, and each but the first then grows a share of
+    both forests (see rf_worker_shares). Where fork_map runs every task here,
+    the forests thus come last: grown before Ensemble2's LR, they left this
+    process's heap larger under that LR's arrays, and train's peak RSS on 300
+    English tweets rose 3.6%.
     """
     weights = tuple(float(w) for w in base_weights)
     linear = lambda data: (mnb_fit(data, mnb_cfg), lr_fit(data, lr_cfg))
     oversampled = smote(dataset, smote_cfg)
     sizes = [len(dataset), len(oversampled)]
     shares = rf_worker_shares(sizes, rf_cfg)
-    if shares:
-        def fit(share):
-            if share is None:
-                return linear(oversampled)
-            first = linear(dataset) if share is shares[0] else None
-            return first, rf_grow_share(oversampled, sizes, rf_cfg, share)
 
-        with one_blas_thread():  # set before the fork, so that no worker sets it
-            second, *grown = fork_map(fit, [None, *shares])
-        first = grown[0][0]
-        forests = rf_join(oversampled, sizes, [part for _, part in grown])
-    else:
-        first, second = linear(dataset), linear(oversampled)
-        # The forests come last: grown before Ensemble2's LR, they leave this process's heap
-        # larger under that LR's arrays, and train's peak RSS on 300 English tweets rose 3.6%.
-        forests = rf_fit_prefixes(oversampled, sizes, rf_cfg)
+    def fit(share):
+        if share is None:
+            return linear(oversampled)
+        first = linear(dataset) if share is shares[0] else None
+        return first, rf_grow_share(oversampled, sizes, rf_cfg, share)
+
+    with one_blas_thread():  # set before the fork, so that no worker sets it
+        second, *grown = fork_map(fit, [None, *shares])
+    first = grown[0][0]
+    forests = rf_join(oversampled, sizes, [part for _, part in grown])
     return MetaSpec(
         ensemble1=EnsembleSpec(members=(*first, forests[0]), weights=weights),
         ensemble2=EnsembleSpec(members=(*second, forests[1]), weights=weights),

@@ -16,7 +16,7 @@ _in_worker = False  # set in a forked worker, whose CPU budget is 1
 def usable_cpus() -> int:
     """The CPUs this process may run on; 1 in a forked worker, so that a
 
-    nested fork_map is given one task and runs serially.
+    nested fork_map runs serially.
     """
     if _in_worker:
         return 1
@@ -80,13 +80,14 @@ def _fork(fn, task) -> tuple:
 def fork_map(fn, tasks: list) -> list:
     """[fn(task) for task in tasks]: the first task run in this process, the
 
-    others each in a forked worker, all of them serially where os.fork is
-    missing. A worker's exception is raised here again with its type; a
-    worker that dies without a result raises RuntimeError. If anything
-    fails, here or in a worker, the workers not yet reaped are killed and
-    reaped before the exception propagates.
+    others each in a forked worker; all of them here, in order, where os.fork
+    is missing or fewer than two CPUs are usable (as in a worker, so a nested
+    fork_map forks nothing). A worker's exception is raised here again with
+    its type; a worker that dies without a result raises RuntimeError. If
+    anything fails, here or in a worker, the workers not yet reaped are
+    killed and reaped before the exception propagates.
     """
-    if len(tasks) < 2 or not hasattr(os, "fork"):
+    if len(tasks) < 2 or not hasattr(os, "fork") or usable_cpus() < 2:
         return [fn(task) for task in tasks]
     workers = []  # (pid, pipe) of the workers not yet reaped
     try:

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from emojivote.classifiers import LrModel, MnbModel
 from emojivote.corpus import RawCorpus
+from emojivote.ensemble import EnsembleSpec, MetaSpec
 from emojivote.features import CsrMatrix, LabeledDataset
 
 SKEW_FRACTIONS = [0.6, 0.2, 0.1, 0.06, 0.04]
@@ -99,6 +101,24 @@ def accent_corpus(n: int, seed: int) -> RawCorpus:
         texts.append(" ".join(toks))
         labels.append(c)
     return RawCorpus(texts=texts, labels=labels, num_classes=3)
+
+
+def meta_around(rf) -> MetaSpec:
+    """A meta model whose two base ensembles are uniform MNB and LR members
+
+    beside `rf`, at index 2: the shape an archive must hold.
+    """
+    k, V = rf.num_classes, rf.dimension
+    mnb = MnbModel(np.full(k, -np.log(k)), np.full((k, V), -np.log(V)), V, k)
+    lr = LrModel(np.zeros((k, V)), np.zeros(k), V, k)
+    ensemble = EnsembleSpec(members=(mnb, lr, rf), weights=(1.0, 1.0, 1.0))
+    return MetaSpec(ensemble, ensemble, (1.0, 1.0))
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    """Make this process's affinity mask, which workers.usable_cpus reads, `cpus` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
 def record_forks(monkeypatch) -> list[int]:

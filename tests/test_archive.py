@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from emojivote.archive import FORMAT_VERSION, MAGIC, ModelArchive, archive_load, archive_save
-from emojivote.classifiers import LrConfig, RfConfig
+from emojivote.classifiers import LrConfig, RfConfig, rf_fit
 from emojivote.cli import main
-from emojivote.ensemble import build_meta
+from emojivote.ensemble import EnsembleSpec, build_meta
 from emojivote.exceptions import (
     ArchiveChecksumError,
     ArchiveError,
@@ -26,7 +26,7 @@ from emojivote.corpus import RawCorpus
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
 
-from helpers import csr_from_dense, skewed_corpus
+from helpers import csr_from_dense, dataset_from_dense, meta_around, skewed_corpus
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,42 @@ BAD_VOCABULARIES = {  # name: (pickled vocabulary, what the error says)
 }
 
 
+def tampered(meta, part, members):
+    """A copy of `meta` whose `part` ensemble votes with equal weights over `members`."""
+    meta = copy.copy(meta)
+    object.__setattr__(meta, part, EnsembleSpec(members, (1.0,) * len(members)))
+    return meta
+
+
+def with_member(meta, index, **changes):
+    """A copy of `meta` whose Ensemble2 member at `index` has `changes` made to its fields."""
+    members = list(meta.ensemble2.members)
+    members[index] = dataclasses.replace(members[index], **changes)
+    return tampered(meta, "ensemble2", tuple(members))
+
+
+MISFIT = {  # name: (pickled vocabulary or None, the trained model -> model, what the error says)
+    "another training's vocabulary": (vocabulary(), lambda m: m, "dimension is not the vocabulary"),
+    "a member of another dimension": (
+        None, lambda m: with_member(m, 1, dimension=m.ensemble2.members[1].dimension + 1),
+        "dimension is not the vocabulary",
+    ),
+    "members disagree on the classes": (
+        None, lambda m: with_member(m, 0, num_classes=m.ensemble2.members[0].num_classes + 1),
+        "different numbers of classes",
+    ),
+    "members out of order": (
+        None, lambda m: tampered(m, "ensemble1", m.ensemble1.members[::-1]), "MNB, LR and RF",
+    ),
+    "a forest-only ensemble": (
+        None, lambda m: tampered(m, "ensemble2", m.ensemble2.members[2:]), "MNB, LR and RF",
+    ),
+    "a member in an ensemble's place": (
+        None, lambda m: dataclasses.replace(m, ensemble1=m.ensemble1.members[0]), "MNB, LR and RF",
+    ),
+}
+
+
 class TestMalformedSections:
     """Well-checksummed archives whose sections are malformed raise ArchiveError."""
 
@@ -243,8 +279,23 @@ class TestMalformedSections:
         assert archive_load(tmp_path / "m.bin").policy is AsciiPolicy.KEEP_MOST
 
     def test_hand_built_vocabulary_loads(self, trained_archive, tmp_path):
-        write_sections(tmp_path / "m.bin", *self.sections(trained_archive, None, vocabulary(), None))
+        rf = rf_fit(dataset_from_dense(np.eye(3), [0, 1, 2], 3), RfConfig(n_trees=1))
+        model = pickle.dumps(meta_around(rf), protocol=4)  # a model on its three columns
+        write_sections(tmp_path / "m.bin", *self.sections(trained_archive, None, vocabulary(), model))
         assert archive_load(tmp_path / "m.bin").vocabulary == pickle.loads(vocabulary())
+
+    @pytest.mark.parametrize("kind", sorted(MISFIT))
+    def test_model_that_misfits_is_an_archive_error(self, trained_archive, tmp_path, capsys, kind):
+        # select and prediction assume this shape, so a misfit fails the load: predict exits 2, not 3.
+        pickled, change, message = MISFIT[kind]
+        model = pickle.dumps(change(trained_archive.model), protocol=4)
+        write_sections(tmp_path / "m.bin", *self.sections(trained_archive, None, pickled, model))
+        with pytest.raises(ArchiveError, match=message):
+            archive_load(tmp_path / "m.bin")
+        text = tmp_path / "t.txt"
+        text.write_text("w1 w2\n")
+        assert main(["predict", str(tmp_path / "m.bin"), str(text)]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(BAD_VOCABULARIES))
     def test_bad_vocabulary_is_an_archive_error(self, trained_archive, tmp_path, capsys, kind):

@@ -17,7 +17,7 @@ from emojivote.classifiers import (
     rf_predict_proba,
 )
 from emojivote.corpus import RawCorpus
-from emojivote.ensemble import SELECTORS, EnsembleSpec, MetaSpec, build_meta, select
+from emojivote.ensemble import SELECTORS, build_meta, select
 from emojivote.features import (
     CsrMatrix,
     FeatureConfig,
@@ -28,7 +28,7 @@ from emojivote.features import (
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig
 
-from helpers import csr_from_rows, rows_of, same, to_dense
+from helpers import csr_from_rows, meta_around, rows_of, same, to_dense
 from rf_oracle import TreeNode, pack
 
 
@@ -230,10 +230,8 @@ class TestDeepTree:
         assert np.array_equal(probs, np.stack([walk(tree, v) for v in values]))
         assert probs[-1].tolist() == [0.0, 1.0]
 
-        ensemble = EnsembleSpec(members=(rf,), weights=(1.0,))
         vocab = Vocabulary(["a", "b"], {"a": 0, "b": 1}, 2, 0)
-        meta = MetaSpec(ensemble, ensemble, (1.0, 1.0))
-        archive = ModelArchive("en", AsciiPolicy.KEEP_MOST, vocab, meta)
+        archive = ModelArchive("en", AsciiPolicy.KEEP_MOST, vocab, meta_around(rf))
         archive_save(archive, tmp_path / "deep.bin")
         loaded = archive_load(tmp_path / "deep.bin")
-        assert np.array_equal(loaded.model.ensemble1.members[0].predict_proba(X), probs)
+        assert np.array_equal(loaded.model.ensemble1.members[2].predict_proba(X), probs)

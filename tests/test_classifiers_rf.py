@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from emojivote import classifiers
 from emojivote.archive import ModelArchive, archive_load, archive_save
 from emojivote.classifiers import RfConfig, rf_fit, rf_predict_proba
-from emojivote.ensemble import EnsembleSpec, MetaSpec
 from emojivote.features import (
     FeatureConfig,
     Vocabulary,
@@ -22,8 +21,8 @@ from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig, smote
 
 from helpers import (
-    assert_reaped, csr_from_dense, csr_from_rows, dataset_from_dense, raise_, record_forks,
-    skewed_corpus, with_labels,
+    assert_reaped, csr_from_dense, csr_from_rows, dataset_from_dense, meta_around, raise_,
+    record_forks, set_cpus, skewed_corpus, with_labels,
 )
 import fit_oracle
 from rf_oracle import TreeNode, oracle_fit, pack
@@ -232,26 +231,23 @@ class TestDeepFit:
         probs = rf_predict_proba(rf, d)
         assert probs.argmax(axis=1).tolist() == d.labels.tolist()
 
-        ensemble = EnsembleSpec(members=(rf,), weights=(1.0,))
         vocab = Vocabulary(["a"], {"a": 0}, 1, 0)
-        meta = MetaSpec(ensemble, ensemble, (1.0, 1.0))
-        archive = ModelArchive("en", AsciiPolicy.KEEP_MOST, vocab, meta)
+        archive = ModelArchive("en", AsciiPolicy.KEEP_MOST, vocab, meta_around(rf))
         archive_save(archive, tmp_path / "deep.bin")
-        loaded = archive_load(tmp_path / "deep.bin").model.ensemble1.members[0]
+        loaded = archive_load(tmp_path / "deep.bin").model.ensemble1.members[2]
         assert np.array_equal(loaded.predict_proba(d), probs)
 
 
 def force(mp, gather=None, workers=None):
     """Make rf_fit read every node's rows, or every node's candidate columns,
 
-    and grow its forest in up to `workers` processes however small it is.
+    and grow its forest in up to `workers` processes.
     """
     if gather is not None:
         forced = lambda self, by_rows, by_columns: gather == "columns"
         mp.setattr(classifiers._TreeGrower, "_reads_columns", forced)
     if workers is not None:
-        mp.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
-        mp.setattr(classifiers, "_usable_cpus", lambda: workers)
+        set_cpus(mp, workers)
 
 
 class TestEveryPath:
@@ -538,19 +534,15 @@ class TestWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert classifiers._usable_cpus() == 3
 
-    @pytest.mark.parametrize("reason", ["no fork", "one cpu", "one tree", "below cut-off"])
+    @pytest.mark.parametrize("reason", ["no fork", "one cpu", "one tree"])
     def test_serial_fallback(self, monkeypatch, reason):
         d = make_consistent_dataset(seed=6)
         cfg = RfConfig(n_trees=1 if reason == "one tree" else 4, seed=5)
-        cut_off = len(d) * cfg.n_trees + 1 if reason == "below cut-off" else 0
-        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", cut_off)
+        set_cpus(monkeypatch, 1 if reason == "one cpu" else 3)
         if reason == "no fork":
             monkeypatch.delattr(os, "fork")
         else:
             monkeypatch.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
-        if reason == "one cpu":
-            monkeypatch.setattr(os, "cpu_count", lambda: 1)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert_same_forest(rf_fit(d, cfg), oracle_fit(d, cfg))
 
     @pytest.mark.parametrize("exc, raised", [

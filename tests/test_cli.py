@@ -21,7 +21,7 @@ from emojivote.cli import _stratified_split, main
 from emojivote.corpus import RawCorpus
 from emojivote.features import text_to_vector
 
-from helpers import assert_reaped, raise_, record_forks
+from helpers import assert_reaped, raise_, record_forks, set_cpus
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +345,7 @@ class TestParallelPredict:
         pids = record_forks(monkeypatch)
         outputs = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            set_cpus(monkeypatch, cpus)
             out_dir = tmp_path / f"cpus{cpus}"
             out_dir.mkdir()
             forks = len(pids)
@@ -361,7 +361,7 @@ class TestParallelPredict:
     def test_less_than_two_full_chunks_never_forks(self, trained_model, toy_files, tmp_path,
                                                    monkeypatch, n):
         text, _ = predict_inputs(toy_files, tmp_path, n)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 8)
+        set_cpus(monkeypatch, 8)
         monkeypatch.setattr(os, "fork", lambda: raise_(AssertionError("forked")))
         out = tmp_path / "out.txt"
         assert main(["predict", str(trained_model), str(text), "-o", str(out)]) == 0
@@ -375,7 +375,7 @@ class TestParallelPredict:
     def test_worker_exception_raised_in_parent(self, trained_model, monkeypatch, exc, raised):
         ar = archive_load(trained_model)
         monkeypatch.setattr(cli, "PREDICT_CHUNK", CHUNK)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        set_cpus(monkeypatch, 3)
         pids = record_forks(monkeypatch)
         first_vectorize(monkeypatch, in_worker=lambda: raise_(exc))
         with pytest.raises(raised):
@@ -386,7 +386,7 @@ class TestParallelPredict:
     def test_killed_worker_raises(self, trained_model, monkeypatch):
         ar = archive_load(trained_model)
         monkeypatch.setattr(cli, "PREDICT_CHUNK", CHUNK)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        set_cpus(monkeypatch, 3)
         pids = record_forks(monkeypatch)
         first_vectorize(monkeypatch, in_worker=lambda: os.kill(os.getpid(), signal.SIGKILL))
         with pytest.raises(RuntimeError, match=f"signal {int(signal.SIGKILL)}"):
@@ -396,7 +396,7 @@ class TestParallelPredict:
     def test_parent_failure_kills_and_reaps_workers(self, trained_model, monkeypatch):
         ar = archive_load(trained_model)
         monkeypatch.setattr(cli, "PREDICT_CHUNK", CHUNK)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        set_cpus(monkeypatch, 3)
         pids = record_forks(monkeypatch)
         first_vectorize(
             monkeypatch, in_parent=lambda: raise_(KeyboardInterrupt()),

@@ -23,7 +23,7 @@ from emojivote.features import FeatureConfig, vectorize_corpus
 from emojivote.preprocess import AsciiPolicy
 from emojivote.resample import SmoteConfig, smote
 
-from helpers import assert_reaped, dataset_from_dense, record_forks, skewed_corpus
+from helpers import assert_reaped, dataset_from_dense, record_forks, set_cpus, skewed_corpus
 
 
 class FixedModel:
@@ -224,19 +224,18 @@ class TestBuildMeta:
                 assert_same_member(member, want)
 
     def test_forks_once_with_two_cpus(self, monkeypatch):
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        set_cpus(monkeypatch, 2)
         pids = record_forks(monkeypatch)
         self.fit()
         assert len(pids) == 1
 
     @pytest.mark.parametrize("cpus, forks", [(2, 1), (3, 2), (8, 4)])
     def test_one_worker_per_spare_cpu_at_most_one_per_tree(self, monkeypatch, cpus, forks):
-        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 1)
-        _, serial = self.fit()
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: cpus)
+        set_cpus(monkeypatch, 1)
         pids = record_forks(monkeypatch)
+        _, serial = self.fit()
+        assert pids == []
+        set_cpus(monkeypatch, cpus)
         _, meta = self.fit()
         assert len(pids) == forks
         assert_reaped(pids)
@@ -246,13 +245,11 @@ class TestBuildMeta:
 
     def test_fits_where_numpy_has_no_openblas(self, monkeypatch):
         monkeypatch.setattr(classifiers, "_openblas", lambda: None)
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        set_cpus(monkeypatch, 2)
         self.test_members_equal_member_by_member_fits()
 
     def test_failure_here_kills_and_reaps_the_workers(self, monkeypatch):
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        set_cpus(monkeypatch, 3)
         parent, lr_fit = os.getpid(), ensemble.lr_fit
 
         def failing_here(data, cfg):  # this process fits Ensemble2's LR, a worker Ensemble1's
@@ -281,8 +278,7 @@ class TestBuildMeta:
                 f.write(f"{os.getpid()} {n}\n")
 
         monkeypatch.setattr(classifiers, "_openblas", lambda: (lambda: threads[0], set_))
-        monkeypatch.setattr(classifiers, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(classifiers, "FORK_MIN_ROW_TREES", 0)
+        set_cpus(monkeypatch, 2)
         pids = record_forks(monkeypatch)
         self.fit()
         assert len(pids) == 1
